@@ -1,12 +1,14 @@
 """Vectorized-kernel speedup over the scalar per-candidate sweep.
 
 Solves the BENCH_parallel spec batch twice on a single core -- once
-with the numpy survivor-batch kernels active (the default) and once
-with ``kernels.disabled()`` forcing the scalar object path -- and
-records the wall-clock pair and speedup into ``BENCH_kernels.json`` at
-the repo root.  Also asserts the kernels' correctness contract
-(bit-identical solutions to the scalar path) and a conservative >= 2x
-single-core speedup floor that holds even on noisy shared CI runners;
+through ``solve_batch`` (the numpy survivor-batch kernels) and once
+through the scalar reference, ``rank(filter_constraints(
+feasible_designs(...)))`` per data and tag array, which builds every
+candidate as a full object -- and records the wall-clock pair and
+speedup into ``BENCH_kernels.json`` at the repo root.  Also asserts the
+kernels' correctness contract (bit-identical solutions to the scalar
+path) and a conservative >= 2x single-core speedup floor that holds
+even on noisy shared CI runners;
 the real target, an order of magnitude, is what the recorded number
 documents on quiet hardware.
 """
@@ -15,11 +17,17 @@ import json
 import os
 import time
 
-from repro.array import kernels
-from repro.core.cacti import solve_batch
-from repro.core.config import MemorySpec
-from repro.core.optimizer import SweepStats
+from repro.array.organization import EvalCache
+from repro.core.cacti import data_array_spec, solve_batch, tag_array_spec
+from repro.core.config import MemorySpec, OptimizationTarget
+from repro.core.optimizer import (
+    SweepStats,
+    feasible_designs,
+    filter_constraints,
+    rank,
+)
 from repro.tech.cells import CellTech
+from repro.tech.nodes import technology
 
 BENCH_FILE = os.path.join(
     os.path.dirname(__file__), os.pardir, "BENCH_kernels.json"
@@ -37,27 +45,39 @@ BATCH = [
 MIN_SPEEDUP = 2.0
 
 
-def test_bench_kernels_vs_scalar_sweep():
-    if not kernels.enabled():
-        import pytest
+def scalar_best(tech, spec, target, cache, stats):
+    """The scalar reference's winner: every candidate built, then
+    constrained and ranked as objects."""
+    designs = feasible_designs(tech, spec, cache=cache, stats=stats)
+    return rank(filter_constraints(designs, target), target)[0]
 
-        pytest.skip("numpy kernels unavailable (no numpy or disabled)")
+
+def test_bench_kernels_vs_scalar_sweep():
+    target = OptimizationTarget()
 
     stats_fast = SweepStats()
     t0 = time.perf_counter()
-    fast = solve_batch(BATCH, stats=stats_fast, jobs=1)
+    fast = solve_batch(BATCH, target, stats=stats_fast, jobs=1)
     wall_fast = time.perf_counter() - t0
 
+    # One EvalCache spans the scalar batch, as it does the serial
+    # solve_batch above.
     stats_slow = SweepStats()
-    with kernels.disabled():
-        t0 = time.perf_counter()
-        slow = solve_batch(BATCH, stats=stats_slow, jobs=1)
-        wall_slow = time.perf_counter() - t0
+    cache = EvalCache()
+    t0 = time.perf_counter()
+    slow = []
+    for spec in BATCH:
+        tech = technology(spec.node_nm)
+        slow.append(tuple(
+            scalar_best(tech, array_spec, target, cache, stats_slow)
+            for array_spec in (data_array_spec(spec), tag_array_spec(spec))
+        ))
+    wall_slow = time.perf_counter() - t0
 
     # Contract: the kernels change wall time only, never numbers.
-    for a, b in zip(fast, slow):
-        assert a.data == b.data
-        assert a.tag == b.tag
+    for solution, (data, tag) in zip(fast, slow):
+        assert solution.data == data
+        assert solution.tag == tag
 
     speedup = wall_slow / wall_fast
     payload = {

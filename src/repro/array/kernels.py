@@ -34,21 +34,16 @@ one per *unique* ``(rows, cols)`` -- via the shared
 :class:`~repro.array.organization.EvalCache` -- and broadcast by
 gather.  H-tree levels use an exact integer ``frexp`` ceil-log2.  The
 result: ranking picks the same winner index the scalar sweep picks, and
-the materialized winner is bit-identical.  ``REPRO_KERNELS=0`` (or the
-:func:`disabled` context manager) forces the scalar path for
-equivalence testing and benchmarking.
+the materialized winner is bit-identical.  The scalar reference these
+kernels are tested against is
+:func:`~repro.core.optimizer.feasible_designs`.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-try:  # optional, as in repro.array.organization
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+import numpy as _np
 
 from repro.array.htree import BRANCH_BUFFER_FO4
 from repro.array.organization import (
@@ -68,31 +63,10 @@ from repro.array.subarray import InfeasibleSubarray
 from repro.circuits.repeaters import repeated_wire
 from repro.tech.nodes import Technology
 
-#: Module switch; the environment variable is read once at import.
-_ENABLED = os.environ.get("REPRO_KERNELS", "1").lower() not in ("0", "off")
-
 
 def enabled() -> bool:
-    """Whether the vectorized kernels are active (and numpy is present)."""
-    return _ENABLED and _np is not None
-
-
-def set_enabled(flag: bool) -> None:
-    """Force the kernels on or off process-wide (tests, benchmarks)."""
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-@contextmanager
-def disabled():
-    """Context manager forcing the scalar build path (for comparison)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
+    """Always True: the kernels are the optimizer's only evaluation path."""
+    return True
 
 
 @dataclass
@@ -166,12 +140,11 @@ def survivor_batch(
     max_ndbl: int = 64,
     nspd_values: tuple[float, ...] | None = None,
     max_mux: int | None = None,
-) -> SurvivorBatch | None:
-    """The spec's prefilter survivors as arrays; None without numpy."""
-    arrays = survivor_arrays(spec, max_ndwl, max_ndbl, nspd_values, max_mux)
-    if arrays is None:
-        return None
-    return SurvivorBatch(spec, *arrays)
+) -> SurvivorBatch:
+    """The spec's prefilter survivors as arrays."""
+    return SurvivorBatch(
+        spec, *survivor_arrays(spec, max_ndwl, max_ndbl, nspd_values, max_mux)
+    )
 
 
 @dataclass

@@ -25,10 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-try:  # numpy powers the vectorized grid pre-filter; optional at runtime.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+import numpy as _np
 
 from repro.array.htree import HTree, design_htree
 from repro.array.mat import mats_in_bank
@@ -632,9 +629,10 @@ def enumerate_orgs(
     """All structurally plausible partitioning tuples for ``spec``.
 
     Infeasible tuples are cheap to reject later; this enumeration only
-    enforces the power-of-two structure and mux applicability.  Prefer
-    :func:`enumerate_feasible_orgs` for sweeps: it fuses the structural
-    pre-filter into the loop nest.
+    enforces the power-of-two structure and mux applicability.  Sweeps
+    use :func:`prefilter_grid`, which applies the structural pre-filter
+    to the whole grid at once; filtering this list through
+    :func:`prefilter_org` is its scalar reference.
     """
     ndwls, ndbls, nspds, ndcms, ndsams = _org_grid(
         spec, max_ndwl, max_ndbl, nspd_values, max_mux
@@ -649,76 +647,6 @@ def enumerate_orgs(
                             OrgParams(ndwl, ndbl, nspd, ndcm, ndsam)
                         )
     return candidates
-
-
-def enumerate_feasible_orgs(
-    spec: ArraySpec,
-    max_ndwl: int = 64,
-    max_ndbl: int = 64,
-    nspd_values: tuple[float, ...] | None = None,
-    max_mux: int | None = None,
-):
-    """Yield ``(OrgParams, OrgGeometry)`` for structurally feasible tuples.
-
-    Exactly equivalent to filtering :func:`enumerate_orgs` through
-    :func:`prefilter_org` -- same candidates, same order (which matters:
-    ranking ties break by enumeration order) -- but the row/column checks
-    are hoisted out of the mux loops and :class:`OrgParams` objects are
-    only built for survivors, so the whole grid scan costs a few
-    milliseconds.  The feasibility expressions mirror
-    :func:`derive_geometry` line for line.
-    """
-    ndwls, ndbls, nspds, ndcms, ndsams = _org_grid(
-        spec, max_ndwl, max_ndbl, nspd_values, max_mux
-    )
-    traits = spec.cell_tech.traits
-    max_cells = traits.max_bitline_cells
-    paged = traits.supports_page_mode
-    sets_per_bank = spec.sets_per_bank
-    row_bits = spec.output_bits * spec.assoc
-    for ndwl in ndwls:
-        for ndbl in ndbls:
-            for nspd in nspds:
-                rows_f = sets_per_bank / (ndbl * nspd)
-                cols_f = row_bits * nspd / ndwl
-                if rows_f != int(rows_f) or cols_f != int(cols_f):
-                    continue
-                rows, cols = int(rows_f), int(cols_f)
-                if not MIN_ROWS <= rows <= MAX_ROWS:
-                    continue
-                if max_cells is not None and rows > max_cells:
-                    continue
-                if not MIN_COLS <= cols <= MAX_COLS:
-                    continue
-                for ndcm in ndcms:
-                    for ndsam in ndsams:
-                        mux = ndcm * ndsam
-                        if cols % mux:
-                            continue
-                        out_per_sub = cols // mux
-                        if out_per_sub == 0:
-                            continue
-                        nact = math.ceil(spec.output_bits / out_per_sub)
-                        if nact > ndwl:
-                            continue
-                        if spec.assoc > 1 and mux < spec.assoc:
-                            continue
-                        sensed_per_sub = cols // ndcm
-                        sensed_bits = nact * sensed_per_sub
-                        if spec.page_bits is not None and (
-                            not paged or sensed_bits != spec.page_bits
-                        ):
-                            continue
-                        yield (
-                            OrgParams(ndwl, ndbl, nspd, ndcm, ndsam),
-                            OrgGeometry(
-                                rows=rows,
-                                cols=cols,
-                                nact=nact,
-                                sensed_bits=sensed_bits,
-                                sense_amps_per_sub=sensed_per_sub,
-                            ),
-                        )
 
 
 def survivor_arrays(
@@ -738,19 +666,16 @@ def survivor_arrays(
     Python calls, and returns the surviving candidates as ten aligned
     arrays ``(ndwl, ndbl, nspd, ndcm, ndsam, rows, cols, nact,
     sensed_bits, sense_amps_per_sub)`` in enumeration order (the order
-    ranking ties break by).  Returns ``None`` when numpy is unavailable;
-    callers fall back to :func:`enumerate_feasible_orgs`.
+    ranking ties break by).
 
     The arithmetic is float64/int64, the same IEEE-754 operations the
     scalar path performs, so the integrality tests agree bit for bit.
     """
-    if _np is None:
-        return None
     axes = _org_grid(spec, max_ndwl, max_ndbl, nspd_values, max_mux)
     ndwls, ndbls, nspds, ndcms, ndsams = axes
     traits = spec.cell_tech.traits
     # C-order ravel of an 'ij' meshgrid iterates the last axis fastest,
-    # matching the nested loop order of enumerate_feasible_orgs.
+    # matching the nested loop order of enumerate_orgs.
     w, b, s, c, m = (
         g.ravel()
         for g in _np.meshgrid(
@@ -813,19 +738,13 @@ def prefilter_grid(
     """Vectorized structural pre-filter over the entire candidate grid.
 
     Thin object-materializing wrapper over :func:`survivor_arrays`:
-    returns exactly what ``list(enumerate_feasible_orgs(spec, ...))``
-    returns -- the same survivors, in the same enumeration order, with
-    the same geometries -- but computed as one numpy batch.  Falls back
-    to the scalar enumeration when numpy is unavailable.
+    the same survivors, in the same enumeration order, with the same
+    geometries as filtering :func:`enumerate_orgs` through
+    :func:`prefilter_org` -- but computed as one numpy batch.
     """
-    arrays = survivor_arrays(spec, max_ndwl, max_ndbl, nspd_values, max_mux)
-    if arrays is None:
-        return list(
-            enumerate_feasible_orgs(
-                spec, max_ndwl, max_ndbl, nspd_values, max_mux
-            )
-        )
-    w, b, s, c, m, rows, cols, nact, sensed_bits, sensed_per_sub = arrays
+    w, b, s, c, m, rows, cols, nact, sensed_bits, sensed_per_sub = (
+        survivor_arrays(spec, max_ndwl, max_ndbl, nspd_values, max_mux)
+    )
     return [
         (
             OrgParams(int(w[i]), int(b[i]), float(s[i]), int(c[i]), int(m[i])),

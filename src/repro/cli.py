@@ -88,8 +88,8 @@ def _jobs_arg(text: str) -> int | str:
 
     ``auto`` defers the worker-count decision to
     :func:`repro.core.parallel.effective_jobs`, which weighs the
-    machine and the workload (serial on one core or small sweeps,
-    where process fan-out costs more than it saves).
+    machine and the workload (serial on one core or for a single
+    task, where process fan-out costs more than it saves).
     """
     if text.strip().lower() == "auto":
         return "auto"
@@ -287,10 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         solver.add_argument(
             "--jobs", type=_jobs_arg, default="auto", metavar="N",
-            help="worker processes for the candidate sweep (1 = serial, "
-                 "0 = all cores, 'auto' = serial or all cores by machine "
-                 "and workload; default auto); results are bit-identical "
-                 "at any setting",
+            help="worker processes for batches, studies, sweeps and "
+                 "cachedb builds (1 = serial, 0 = all cores, 'auto' = "
+                 "serial or all cores by machine and workload; default "
+                 "auto); a single solve always runs in-process; results "
+                 "are bit-identical at any setting",
         )
         solver.add_argument(
             "--trace", metavar="FILE", default=None,
@@ -473,9 +474,7 @@ def _run_validate(args: argparse.Namespace) -> int:
     from repro.validation.compare import validate_ddr3
 
     solve_cache, stats, obs, _unused = _solver_knobs(args)
-    validation = validate_ddr3(
-        solve_cache=solve_cache, stats=stats, jobs=args.jobs, obs=obs
-    )
+    validation = validate_ddr3(solve_cache=solve_cache, stats=stats, obs=obs)
     print(validation.report())
     _print_stats(stats)
     _write_obs(args, obs)
@@ -495,9 +494,8 @@ def _run_table3(args: argparse.Namespace) -> int:
         knobs["stats"] = stats
     if obs is not None:
         knobs["obs"] = obs
-    # "auto" resolves per-sweep and almost always to serial at table3's
-    # sizes, so it stays out of the knobs too -- the default invocation
-    # remains knob-free and keeps table3's memo of solved rows.
+    # "auto" stays out of the knobs, so the default invocation remains
+    # knob-free and keeps table3's memo of solved rows.
     if args.jobs not in (1, "auto"):
         knobs["jobs"] = args.jobs
     if resilience is not None:

@@ -13,12 +13,14 @@ Entry points:
 * :class:`CactiD` -- a small facade caching the technology object across
   solves at one node.
 
-Every entry point takes ``jobs``: ``1`` (the default) is the plain
-serial path, ``N > 1`` fans work out over ``N`` worker processes,
+:func:`solve_batch` takes ``jobs``: ``1`` (the default) is the plain
+serial path, ``N > 1`` fans the specs out over ``N`` worker processes,
 ``<= 0`` means all available cores, and ``"auto"`` picks serial or all
-cores from the machine and the workload size (worker processes cost
-more than they save on one core or tiny batches).  Results are
-bit-identical at any job count -- parallelism only changes wall time.
+cores from the machine and the batch size.  Results are bit-identical
+at any job count -- parallelism only changes wall time.  The
+single-spec entry points accept ``jobs`` and ``resilience`` too, but a
+single spec always solves in-process: its candidate grid is evaluated
+by the vectorized kernels, faster than worker processes could start.
 """
 
 from __future__ import annotations
@@ -112,14 +114,14 @@ def solve(
     (a fresh one spanning the data and tag sweeps is created when
     omitted); ``solve_cache`` short-circuits whole repeated solves from
     disk (flushed once at the solve boundary); ``stats`` accumulates
-    :class:`~repro.core.optimizer.SweepStats` counters; ``jobs``
-    parallelizes candidate construction inside each array sweep;
-    ``obs`` records a ``solve`` span with nested data/tag array sweeps;
-    ``resilience`` governs worker-chunk failures inside parallel
-    sweeps.  ``cachedb`` (a :class:`~repro.cachedb.CacheDB`) is
-    consulted first: an exact precomputed hit -- bit-identical to
-    solving live -- returns in microseconds, anything else falls
-    through to the solver.  None of them changes the returned numbers.
+    :class:`~repro.core.optimizer.SweepStats` counters; ``obs`` records
+    a ``solve`` span with nested data/tag array sweeps.  ``cachedb`` (a
+    :class:`~repro.cachedb.CacheDB`) is consulted first: an exact
+    precomputed hit -- bit-identical to solving live -- returns in
+    microseconds, anything else falls through to the solver.  None of
+    them changes the returned numbers.  ``jobs`` and ``resilience`` are
+    accepted for API compatibility and ignored: a single spec always
+    solves in-process (use :func:`solve_batch` to fan specs out).
     """
     target = target or OptimizationTarget()
     if cachedb is not None:
@@ -148,9 +150,7 @@ def solve(
                     eval_cache=eval_cache,
                     solve_cache=solve_cache,
                     stats=stats,
-                    jobs=jobs,
                     obs=obs,
-                    resilience=resilience,
                 )
             tag = None
             if spec.is_cache:
@@ -162,9 +162,7 @@ def solve(
                         eval_cache=eval_cache,
                         solve_cache=solve_cache,
                         stats=stats,
-                        jobs=jobs,
                         obs=obs,
-                        resilience=resilience,
                     )
         # The boundary flush just ran (unless an enclosing batch defers
         # it further); drain its store events into the run's sinks.
@@ -254,9 +252,7 @@ def solve_batch(
             raise ValueError(
                 f"{len(specs)} specs but {len(targets)} targets"
             )
-    # Spec-level parallelism is coarse, so ``auto`` only needs two
-    # specs (and more than one core) to be worth a pool.
-    jobs = parallel.effective_jobs(jobs, len(specs), min_tasks=2)
+    jobs = parallel.effective_jobs(jobs, len(specs))
     t0 = time.perf_counter()
     if resilience is not None:
         return _solve_batch_resilient(
@@ -486,7 +482,9 @@ def solve_main_memory(
     """Solve a main-memory DRAM chip at ``node_nm``.
 
     Commodity parts default to the density-optimized preset because of the
-    premium on price per bit (paper section 2.5).
+    premium on price per bit (paper section 2.5).  ``jobs`` and
+    ``resilience`` are accepted for API compatibility and ignored: a
+    single chip always solves in-process.
     """
     target = target or DENSITY_OPTIMIZED
     tech = technology(node_nm)
@@ -504,9 +502,7 @@ def solve_main_memory(
             eval_cache=eval_cache,
             solve_cache=solve_cache,
             stats=stats,
-            jobs=jobs,
             obs=obs,
-            resilience=resilience,
         )
         with maybe_span(obs, "derive_interface"):
             timing = derive_timing(spec, metrics, clock_period)
@@ -570,6 +566,7 @@ class CactiD:
         target: OptimizationTarget | None = None,
         jobs: int | str = 1,
     ) -> Solution:
+        """Solve one spec in-process (``jobs`` is accepted and ignored)."""
         self._check_node(spec)
         return solve(
             spec,
@@ -577,9 +574,7 @@ class CactiD:
             eval_cache=self.eval_cache,
             solve_cache=self.solve_cache,
             stats=self.stats,
-            jobs=jobs,
             obs=self.obs,
-            resilience=self.resilience,
             cachedb=self.cachedb,
         )
 
@@ -617,6 +612,7 @@ class CactiD:
         clock_period: float = 0.0,
         jobs: int | str = 1,
     ) -> MainMemorySolution:
+        """Solve one chip in-process (``jobs`` is accepted and ignored)."""
         return solve_main_memory(
             spec,
             self.node_nm,
@@ -625,9 +621,7 @@ class CactiD:
             eval_cache=self.eval_cache,
             solve_cache=self.solve_cache,
             stats=self.stats,
-            jobs=jobs,
             obs=self.obs,
-            resilience=self.resilience,
         )
 
     def _check_node(self, spec: MemorySpec) -> None:

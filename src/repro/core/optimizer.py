@@ -12,8 +12,11 @@ and multisubbank interleave cycle time.
 The sweep has a fast path that changes none of the numbers:
 
 * a cheap structural pre-filter (:func:`~repro.array.organization.
-  prefilter_org`) rejects most candidate tuples from spec arithmetic
+  prefilter_grid`) rejects most candidate tuples from spec arithmetic
   alone, before any circuit object is built;
+* the vectorized kernels (:mod:`repro.array.kernels`) evaluate and rank
+  every survivor as array arithmetic, and only the winner is built as
+  a full object;
 * an :class:`~repro.array.organization.EvalCache` shares subarray and
   H-tree designs across candidates (and, via the
   :class:`~repro.core.cacti.CactiD` facade, across solves);
@@ -44,7 +47,6 @@ from repro.array.organization import (
     prefilter_org,
 )
 from repro.array import kernels
-from repro.core import parallel
 from repro.core.config import OptimizationTarget
 from repro.core.solvecache import account_store as _account_store
 from repro.obs import Obs, maybe_span
@@ -87,7 +89,7 @@ class SweepStats:
     phase_times: dict = field(default_factory=dict)  #: named phase timers
     #: Phase timers absorbed from worker payloads.  Kept separate from
     #: ``phase_times`` so the parent's phase report stays wall-clock
-    #: true: at jobs=N a build phase runs its workers concurrently, and
+    #: true: at jobs=N a batch runs its workers concurrently, and
     #: summing their per-phase CPU into the parent's timers used to
     #: report build=1.73 s against 0.66 s of actual wall time.
     worker_phase_times: dict = field(default_factory=dict)
@@ -226,14 +228,14 @@ class SweepStats:
     def absorb_worker(self, payload: dict) -> None:
         """Merge a stats payload shipped back from a worker process.
 
-        Accepts either a per-chunk delta dict (from the parallel build
-        loop) or a full ``as_dict()`` snapshot of a worker-side
-        SweepStats (from batch solves).  Unknown keys -- derived rates,
-        pids -- are ignored; worker wall time lands in
-        ``worker_time_s``, never ``wall_time_s``, and worker phase
-        timers land in ``worker_phase_times``, never ``phase_times``,
-        so the parent's own wall-clock measurements stay meaningful
-        (concurrent workers sum to more CPU than wall time).
+        Accepts either a counter-delta dict or a full ``as_dict()``
+        snapshot of a worker-side SweepStats (from batch solves).
+        Unknown keys -- derived rates, pids -- are ignored; worker wall
+        time lands in ``worker_time_s``, never ``wall_time_s``, and
+        worker phase timers land in ``worker_phase_times``, never
+        ``phase_times``, so the parent's own wall-clock measurements
+        stay meaningful (concurrent workers sum to more CPU than wall
+        time).
         """
         for name in self._ABSORBABLE:
             value = payload.get(name, 0)
@@ -271,6 +273,58 @@ class SweepStats:
         self.htree_misses += cache.htree_misses - hm0
 
 
+def _eval_cache_counts(cache: EvalCache) -> tuple[int, int, int, int]:
+    return (
+        cache.subarray_hits,
+        cache.subarray_misses,
+        cache.htree_hits,
+        cache.htree_misses,
+    )
+
+
+_EVAL_CACHE_METRICS = (
+    "eval_cache.subarray.hits",
+    "eval_cache.subarray.misses",
+    "eval_cache.htree.hits",
+    "eval_cache.htree.misses",
+)
+
+
+def _account(
+    stats: SweepStats | None,
+    obs: Obs | None,
+    cache: EvalCache | None,
+    eval_before: tuple | None,
+    **counts: int,
+) -> None:
+    """Record one sweep's candidate counts and eval-cache deltas.
+
+    ``counts`` are :class:`SweepStats` counter names, mirrored into
+    ``obs`` as ``optimizer.<name>``; the cache deltas are taken against
+    ``eval_before`` (and the mark ``stats`` holds for ``cache``).
+    """
+    for name, n in counts.items():
+        if stats is not None:
+            setattr(stats, name, getattr(stats, name) + n)
+        if obs is not None:
+            obs.inc(f"optimizer.{name}", n)
+    if cache is None:
+        return
+    if stats is not None:
+        stats._absorb_eval_cache(cache)
+    if obs is not None:
+        now = _eval_cache_counts(cache)
+        for name, after, before in zip(_EVAL_CACHE_METRICS, now, eval_before):
+            obs.inc(name, after - before)
+
+
+def _no_feasible(spec: ArraySpec) -> NoFeasibleSolution:
+    return NoFeasibleSolution(
+        f"no feasible organization for {spec.capacity_bits} bits of "
+        f"{spec.cell_tech.value} in {spec.nbanks} bank(s)"
+    )
+
+
 def feasible_designs(
     tech: Technology,
     spec: ArraySpec,
@@ -279,170 +333,66 @@ def feasible_designs(
     cache: EvalCache | None = None,
     stats: SweepStats | None = None,
     prefilter: bool = True,
-    jobs: int | str = 1,
     obs: Obs | None = None,
-    resilience=None,
-    candidates: list | None = None,
 ) -> list[ArrayMetrics]:
-    """Evaluate every feasible partitioning of ``spec``.
+    """Build every feasible partitioning of ``spec`` as a full object.
 
-    ``prefilter=False`` disables the cheap structural pre-filter and
-    forces full construction of every candidate (the naive path, kept for
-    equivalence testing); ``cache`` shares circuit designs across
-    candidates; ``jobs > 1`` shards the surviving candidates across
-    worker processes (worker-local caches, candidate-order-preserving
-    merge) with ``jobs=1`` the plain serial path and ``jobs="auto"``
-    choosing serial or all-cores from the machine and survivor count
-    (:func:`~repro.core.parallel.effective_jobs`); ``obs`` records
-    prefilter/build spans and candidate/cache metrics.  None of them
-    affects the returned metrics: the design list is bit-identical in
-    every mode, including its order.
+    The scalar reference of the optimizer's vectorized kernels: one
+    serial :func:`~repro.array.organization.build_organization` per
+    :func:`~repro.array.organization.prefilter_grid` survivor, in
+    enumeration order.  :func:`optimize` itself never calls it; the
+    kernel tests and the examples do.
 
-    ``candidates`` lets a caller that already ran the vectorized
-    pre-filter inject the surviving ``(OrgParams, OrgGeometry)`` list
-    (it must be exactly what ``prefilter_grid(spec)`` returns); the
-    prefilter phase is then neither re-run nor re-timed here, but the
-    grid-level enumerated/prefiltered accounting still happens.
-
-    ``resilience`` (a :class:`~repro.core.resilience.ResiliencePolicy`)
-    applies to the parallel build only: crashed or hung candidate
-    chunks are retried per the policy (a retried chunk rebuilds the
-    same designs, so the sweep stays bit-identical), and in skip mode a
-    terminally failed chunk's candidates are dropped from the feasible
-    set -- narrowing the search space, never corrupting it.
+    ``orgs`` sweeps the given tuples instead of the full grid, and
+    ``prefilter=False`` skips the structural pre-filter so every tuple
+    is fully constructed (the naive path, kept for equivalence
+    testing); both enumerate through
+    :func:`~repro.array.organization.enumerate_orgs` and
+    :func:`~repro.array.organization.prefilter_org`.  ``cache`` shares
+    circuit designs across candidates; ``obs`` records prefilter/build
+    spans and candidate/cache metrics.  None of them affects the
+    returned metrics.
     """
     if stats is not None and cache is not None:
         stats._mark_eval_cache(cache)
-    eval_before = None
-    if obs is not None and cache is not None:
-        eval_before = (
-            cache.subarray_hits,
-            cache.subarray_misses,
-            cache.htree_hits,
-            cache.htree_misses,
-        )
-    designs = []
-    if orgs is None and prefilter:
-        # The structural pre-filter runs as one vectorized batch over
-        # the grid (scalar fused enumeration when numpy is missing), so
-        # rejected tuples cost a few arithmetic ops and no objects.
-        # The worker count is decided *after* it, so ``jobs="auto"``
-        # can weigh the actual survivor count.
-        if candidates is None:
-            with obs_phase("prefilter", obs, stats):
-                candidates = prefilter_grid(spec)
-        njobs = parallel.effective_jobs(jobs, len(candidates))
-        grid = org_grid_size(spec)
-        if stats is not None:
-            stats.enumerated += grid
-            stats.prefiltered += grid - len(candidates)
-        if obs is not None:
-            obs.inc("optimizer.enumerated", grid)
-            obs.inc("optimizer.prefiltered", grid - len(candidates))
-        if njobs != 1:
-            # Parallel path: shard the survivors into contiguous
-            # chunks, merge in candidate order.
-            with obs_phase(
-                "build", obs, stats, candidates=len(candidates), jobs=njobs
-            ) as build_span:
-                designs, worker_stats = parallel.build_designs_parallel(
-                    tech.node_nm, spec, candidates, njobs,
-                    with_obs=obs is not None,
-                    resilience=resilience, stats=stats, obs=obs,
-                )
-            if stats is not None:
-                for payload in worker_stats:
-                    stats.absorb_worker(payload)
-            if obs is not None:
-                obs.inc("parallel.chunks", len(worker_stats))
-                for payload in worker_stats:
-                    obs.absorb_worker(payload.get("obs"))
-                worker_wall = sum(
-                    p.get("worker_wall_time_s", 0.0) for p in worker_stats
-                )
-                if build_span is not None and build_span.duration_s > 0:
-                    obs.gauge(
-                        "parallel.worker_utilization",
-                        worker_wall / (build_span.duration_s * njobs),
-                    )
+    eval_before = _eval_cache_counts(cache) if cache is not None else None
+    with obs_phase("prefilter", obs, stats):
+        if orgs is None and prefilter:
+            enumerated = org_grid_size(spec)
+            candidates = prefilter_grid(spec)
         else:
-            infeasible = 0
-            with obs_phase("build", obs, stats, candidates=len(candidates)):
-                for org, geometry in candidates:
-                    try:
-                        designs.append(
-                            build_organization(
-                                tech, spec, org, cache=cache,
-                                geometry=geometry,
-                            )
-                        )
-                    except (InfeasibleOrganization, InfeasibleSubarray):
-                        infeasible += 1
-                        continue
-            if stats is not None:
-                stats.built += len(candidates)
-                stats.infeasible_at_build += infeasible
-            if obs is not None:
-                obs.inc("optimizer.built", len(candidates))
-                obs.inc("optimizer.infeasible_at_build", infeasible)
-    else:
-        enumerated = prefiltered = built = infeasible = 0
-        with obs_phase("build", obs, stats):
-            for org in orgs if orgs is not None else enumerate_orgs(spec):
-                enumerated += 1
-                geometry = None
-                if prefilter:
-                    geometry = prefilter_org(spec, org)
-                    if geometry is None:
-                        prefiltered += 1
-                        continue
-                built += 1
-                try:
-                    designs.append(
-                        build_organization(
-                            tech, spec, org, cache=cache, geometry=geometry
-                        )
+            orgs = list(orgs if orgs is not None else enumerate_orgs(spec))
+            enumerated = len(orgs)
+            if prefilter:
+                candidates = [
+                    (org, geometry)
+                    for org in orgs
+                    if (geometry := prefilter_org(spec, org)) is not None
+                ]
+            else:
+                candidates = [(org, None) for org in orgs]
+    designs = []
+    infeasible = 0
+    with obs_phase("build", obs, stats, candidates=len(candidates)):
+        for org, geometry in candidates:
+            try:
+                designs.append(
+                    build_organization(
+                        tech, spec, org, cache=cache, geometry=geometry
                     )
-                except (InfeasibleOrganization, InfeasibleSubarray):
-                    infeasible += 1
-                    continue
-        if stats is not None:
-            stats.enumerated += enumerated
-            stats.prefiltered += prefiltered
-            stats.built += built
-            stats.infeasible_at_build += infeasible
-        if obs is not None:
-            obs.inc("optimizer.enumerated", enumerated)
-            obs.inc("optimizer.prefiltered", prefiltered)
-            obs.inc("optimizer.built", built)
-            obs.inc("optimizer.infeasible_at_build", infeasible)
-    if stats is not None:
-        stats.feasible += len(designs)
-        if cache is not None:
-            stats._absorb_eval_cache(cache)
-    if obs is not None:
-        obs.inc("optimizer.feasible", len(designs))
-        if eval_before is not None:
-            obs.inc(
-                "eval_cache.subarray.hits",
-                cache.subarray_hits - eval_before[0],
-            )
-            obs.inc(
-                "eval_cache.subarray.misses",
-                cache.subarray_misses - eval_before[1],
-            )
-            obs.inc(
-                "eval_cache.htree.hits", cache.htree_hits - eval_before[2]
-            )
-            obs.inc(
-                "eval_cache.htree.misses",
-                cache.htree_misses - eval_before[3],
-            )
+                )
+            except (InfeasibleOrganization, InfeasibleSubarray):
+                infeasible += 1
+    _account(
+        stats, obs, cache, eval_before,
+        enumerated=enumerated,
+        prefiltered=enumerated - len(candidates),
+        built=len(candidates),
+        infeasible_at_build=infeasible,
+        feasible=len(designs),
+    )
     if not designs:
-        raise NoFeasibleSolution(
-            f"no feasible organization for {spec.capacity_bits} bits of "
-            f"{spec.cell_tech.value} in {spec.nbanks} bank(s)"
-        )
+        raise _no_feasible(spec)
     return designs
 
 
@@ -535,75 +485,49 @@ def rank(
     return sorted(designs, key=score)
 
 
-def _rank_vectorized(
+def _ranked_designs(
     tech: Technology,
     spec: ArraySpec,
     target: OptimizationTarget,
-    batch,
     *,
     eval_cache: EvalCache,
     stats: SweepStats | None,
     obs: Obs | None,
-    limit: int | None,
+    limit: int | None = None,
 ) -> list[ArrayMetrics]:
-    """Array-kernel sweep: evaluate, constrain, rank, then materialize.
+    """Prefilter → evaluate → constrain → rank, behind :func:`optimize`
+    and :func:`pareto_solutions`.
 
-    Runs :func:`~repro.array.kernels.evaluate_batch` /
+    Runs :func:`~repro.array.kernels.survivor_batch`,
+    :func:`~repro.array.kernels.evaluate_batch` and
     :func:`~repro.array.kernels.rank_batch` over the whole survivor
-    ``batch`` and constructs full :class:`ArrayMetrics` objects only
-    for the top ``limit`` ranked candidates (all of them when ``limit``
-    is None).  Counter accounting matches the scalar sweep: eval-cache
-    deltas are absorbed *before* winner materialization, so
-    ``subarray_hits + subarray_misses == built`` holds; H-tree cache
-    counters advance only for the materialized winners (the batch path
-    replaces per-candidate tree objects with closed-form arithmetic).
+    batch and constructs full :class:`ArrayMetrics` objects only for
+    the top ``limit`` ranked candidates (all of them when ``limit`` is
+    None).  Counter accounting matches the scalar
+    :func:`feasible_designs`: eval-cache deltas are absorbed *before*
+    winner materialization, so ``subarray_hits + subarray_misses ==
+    built`` holds; H-tree cache counters advance only for the
+    materialized winners (the batch replaces per-candidate tree objects
+    with closed-form arithmetic).
     """
-    grid = org_grid_size(spec)
+    with obs_phase("prefilter", obs, stats):
+        batch = kernels.survivor_batch(spec)
     if stats is not None:
-        stats.enumerated += grid
-        stats.prefiltered += grid - batch.size
         stats._mark_eval_cache(eval_cache)
-    if obs is not None:
-        obs.inc("optimizer.enumerated", grid)
-        obs.inc("optimizer.prefiltered", grid - batch.size)
-        eval_before = (
-            eval_cache.subarray_hits,
-            eval_cache.subarray_misses,
-            eval_cache.htree_hits,
-            eval_cache.htree_misses,
-        )
+    eval_before = _eval_cache_counts(eval_cache)
     with obs_phase("build", obs, stats, candidates=batch.size):
         ev = kernels.evaluate_batch(tech, spec, batch, eval_cache)
-    if stats is not None:
-        stats.built += batch.size
-        stats.infeasible_at_build += ev.n_infeasible
-        stats.feasible += ev.size
-        stats._absorb_eval_cache(eval_cache)
-    if obs is not None:
-        obs.inc("optimizer.built", batch.size)
-        obs.inc("optimizer.infeasible_at_build", ev.n_infeasible)
-        obs.inc("optimizer.feasible", ev.size)
-        obs.inc(
-            "eval_cache.subarray.hits",
-            eval_cache.subarray_hits - eval_before[0],
-        )
-        obs.inc(
-            "eval_cache.subarray.misses",
-            eval_cache.subarray_misses - eval_before[1],
-        )
-        obs.inc(
-            "eval_cache.htree.hits",
-            eval_cache.htree_hits - eval_before[2],
-        )
-        obs.inc(
-            "eval_cache.htree.misses",
-            eval_cache.htree_misses - eval_before[3],
-        )
+    grid = org_grid_size(spec)
+    _account(
+        stats, obs, eval_cache, eval_before,
+        enumerated=grid,
+        prefiltered=grid - batch.size,
+        built=batch.size,
+        infeasible_at_build=ev.n_infeasible,
+        feasible=ev.size,
+    )
     if ev.size == 0:
-        raise NoFeasibleSolution(
-            f"no feasible organization for {spec.capacity_bits} bits of "
-            f"{spec.cell_tech.value} in {spec.nbanks} bank(s)"
-        )
+        raise _no_feasible(spec)
     with obs_phase("rank", obs, stats, designs=ev.size):
         order = kernels.rank_batch(ev, target)
         if limit is not None:
@@ -619,51 +543,6 @@ def _rank_vectorized(
     return ranked
 
 
-def _ranked_designs(
-    tech: Technology,
-    spec: ArraySpec,
-    target: OptimizationTarget,
-    *,
-    eval_cache: EvalCache,
-    stats: SweepStats | None,
-    jobs: int | str,
-    obs: Obs | None,
-    resilience=None,
-    limit: int | None = None,
-) -> list[ArrayMetrics]:
-    """Shared enumerate → filter → rank pipeline behind :func:`optimize`
-    and :func:`pareto_solutions`.
-
-    When the vectorized kernels are active and the sweep would run
-    serially anyway (``jobs`` resolves to 1 for this survivor count),
-    the whole per-candidate composition collapses into
-    :func:`_rank_vectorized`.  Otherwise the scalar/parallel
-    :func:`feasible_designs` path runs, reusing the batch's already
-    pre-filtered candidate list so the grid is never scanned twice.
-    ``limit`` bounds how many ranked designs are materialized on the
-    vectorized path only; the scalar path always returns the full
-    ranked list (the objects already exist).
-    """
-    candidates = None
-    if kernels.enabled():
-        with obs_phase("prefilter", obs, stats):
-            batch = kernels.survivor_batch(spec)
-        if batch is not None:
-            if parallel.effective_jobs(jobs, batch.size) == 1:
-                return _rank_vectorized(
-                    tech, spec, target, batch,
-                    eval_cache=eval_cache, stats=stats, obs=obs,
-                    limit=limit,
-                )
-            candidates = batch.candidates()
-    designs = feasible_designs(
-        tech, spec, cache=eval_cache, stats=stats, jobs=jobs, obs=obs,
-        resilience=resilience, candidates=candidates,
-    )
-    with obs_phase("rank", obs, stats, designs=len(designs)):
-        return rank(filter_constraints(designs, target), target)
-
-
 def optimize(
     tech: Technology,
     spec: ArraySpec,
@@ -672,9 +551,7 @@ def optimize(
     eval_cache: EvalCache | None = None,
     solve_cache=None,
     stats: SweepStats | None = None,
-    jobs: int | str = 1,
     obs: Obs | None = None,
-    resilience=None,
 ) -> ArrayMetrics:
     """Full pipeline: enumerate, filter, rank; return the best design.
 
@@ -682,18 +559,13 @@ def optimize(
     is created per call when omitted); ``solve_cache`` is an optional
     :class:`~repro.core.solvecache.SolveCache` consulted before -- and
     flushed after -- the sweep; ``stats`` accumulates
-    :class:`SweepStats` counters in place; ``jobs`` spreads candidate
-    construction over worker processes (``1`` = serial, ``<= 0`` = all
-    cores, ``"auto"`` = serial or all cores by machine and survivor
-    count); ``obs`` records an ``optimize`` span with nested
-    prefilter/build/rank children plus cache-hit metrics.  None of them
-    changes any returned number.  ``resilience`` makes the parallel
-    candidate build fault tolerant (see :func:`feasible_designs`).
+    :class:`SweepStats` counters in place; ``obs`` records an
+    ``optimize`` span with nested prefilter/build/rank children plus
+    cache-hit metrics.  None of them changes any returned number.
 
-    When the sweep runs serially and numpy is available, candidate
-    evaluation goes through the vectorized kernels
-    (:mod:`repro.array.kernels`) -- bit-identical, order-of-magnitude
-    faster; ``REPRO_KERNELS=0`` forces the scalar object path.
+    Candidates are evaluated in-process by the vectorized kernels
+    (:mod:`repro.array.kernels`), bit-identical to building each one
+    through :func:`feasible_designs`.
     """
     t0 = time.perf_counter()
     with maybe_span(
@@ -730,7 +602,7 @@ def optimize(
         swept = _with_repeater_penalty(spec, target)
         best = _ranked_designs(
             tech, swept, target, eval_cache=eval_cache, stats=stats,
-            jobs=jobs, obs=obs, resilience=resilience, limit=1,
+            obs=obs, limit=1,
         )[0]
         if solve_cache is not None:
             solve_cache.put(spec, target, tech.node_nm, best)
@@ -752,7 +624,6 @@ def pareto_solutions(
     *,
     eval_cache: EvalCache | None = None,
     stats: SweepStats | None = None,
-    jobs: int | str = 1,
     obs: Obs | None = None,
 ) -> list[ArrayMetrics]:
     """All constraint-satisfying designs, ranked -- the solution cloud the
@@ -769,8 +640,7 @@ def pareto_solutions(
             eval_cache = EvalCache()
         spec = _with_repeater_penalty(spec, target)
         ranked = _ranked_designs(
-            tech, spec, target, eval_cache=eval_cache, stats=stats,
-            jobs=jobs, obs=obs,
+            tech, spec, target, eval_cache=eval_cache, stats=stats, obs=obs
         )
         if stats is not None:
             stats.wall_time_s += time.perf_counter() - t0

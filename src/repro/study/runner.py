@@ -252,9 +252,7 @@ def run_study(
         for profile in profiles
         for config_name in configs
     ]
-    # Cell-level parallelism is coarse: ``auto`` only needs two cells
-    # (and more than one core) to be worth a pool.
-    jobs = parallel.effective_jobs(jobs, len(payloads), min_tasks=2)
+    jobs = parallel.effective_jobs(jobs, len(payloads))
     keys = None
     if resilience is not None and resilience.journal is not None:
         # The cachedb serves bit-identical results, so it is not part

@@ -213,19 +213,14 @@ def sweep(
             specs.append(replace(base, **{parameter: value}))
         except ValueError:
             specs.append(None)
-    # Point-level parallelism is coarse: ``auto`` only needs two live
-    # points (and more than one core) to be worth a pool.
-    jobs = parallel.effective_jobs(
-        jobs, sum(s is not None for s in specs), min_tasks=2
-    )
+    live = sum(s is not None for s in specs)
+    jobs = parallel.effective_jobs(jobs, live)
     solutions: list[Solution | None]
     failures: list[TaskFailure] = []
     with maybe_span(
         obs, "sweep", parameter=parameter, points=len(specs), jobs=jobs
     ):
-        if resilience is None and (
-            jobs == 1 or sum(s is not None for s in specs) <= 1
-        ):
+        if resilience is None and (jobs == 1 or live <= 1):
             if eval_cache is None:
                 eval_cache = EvalCache()
             solutions = []

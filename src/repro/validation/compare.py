@@ -93,10 +93,11 @@ def validate_ddr3(
 
     ``target`` defaults to the module's ``DDR3_TARGET`` resolved at call
     time (not bound at definition).  The keyword knobs (persistent
-    ``solve_cache``, ``stats`` accumulator, worker ``jobs``, ``obs``
-    tracer) pass straight through to
-    :func:`~repro.core.cacti.solve_main_memory`, so the validation run is
-    observable and cacheable exactly like any other solve.
+    ``solve_cache``, ``stats`` accumulator, ``obs`` tracer) pass
+    straight through to :func:`~repro.core.cacti.solve_main_memory`, so
+    the validation run is observable and cacheable exactly like any
+    other solve.  ``jobs`` is accepted and ignored: the single chip
+    always solves in-process.
     """
     if target is None:
         target = DDR3_TARGET
@@ -112,7 +113,6 @@ def validate_ddr3(
         node_nm=target.node_nm,
         solve_cache=solve_cache,
         stats=stats,
-        jobs=jobs,
         obs=obs,
     )
     errors = {

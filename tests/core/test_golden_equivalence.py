@@ -1,26 +1,34 @@
 """Golden-equivalence regression: the optimizer fast path changes nothing.
 
-The fast path is three layers -- structural pre-filter fused into
-enumeration, cross-candidate EvalCache memoization, and the persistent
-solve cache -- and every one of them must be numerically invisible.
+The fast path is three layers -- the vectorized structural pre-filter,
+cross-candidate EvalCache memoization, and the persistent solve
+cache -- and every one of them must be numerically invisible.
 These tests compare against the naive path (full construction of every
 enumerated candidate, no caches) field for field, for SRAM, LP-DRAM, and
 COMM-DRAM arrays at 32 and 78 nm.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.array.kernels import survivor_batch
+from repro.array.mainmem import MainMemorySpec
 from repro.array.organization import (
     ArraySpec,
     EvalCache,
-    enumerate_feasible_orgs,
     enumerate_orgs,
     prefilter_grid,
     prefilter_org,
 )
-from repro.core.config import DENSITY_OPTIMIZED, OptimizationTarget
+from repro.core.config import (
+    DENSITY_OPTIMIZED,
+    ENERGY_DELAY_OPTIMIZED,
+    MemorySpec,
+    OptimizationTarget,
+)
 from repro.core.optimizer import SweepStats, feasible_designs, optimize
 from repro.core.solvecache import SolveCache
 from repro.obs import Obs
@@ -71,6 +79,30 @@ GRID = [
 ]
 
 
+def stt_ram_spec(capacity_kb: int = 256) -> ArraySpec:
+    return ArraySpec(
+        capacity_bits=capacity_kb * 1024 * 8,
+        output_bits=512,
+        assoc=8,
+        cell_tech=CellTech("stt-ram"),
+        periph_device_type="hp-long-channel",
+    )
+
+
+#: Every registered technology, plus a paged main-memory chip so the
+#: page-matching rule is exercised on the spec the solver really uses.
+PREFILTER_SPECS = [
+    pytest.param(spec, id=name)
+    for name, spec in (
+        ("sram", sram_spec()),
+        ("lp-dram", lp_dram_spec()),
+        ("comm-dram", comm_dram_spec()),
+        ("stt-ram", stt_ram_spec()),
+        ("main-memory", MainMemorySpec(capacity_bits=1 << 30).array_spec()),
+    )
+]
+
+
 def assert_metrics_identical(a, b):
     """Field-for-field (bit-identical float) equality of two metrics."""
     for f in dataclasses.fields(type(a)):
@@ -89,9 +121,10 @@ def test_fast_path_matches_naive(spec, node, target):
 
 @pytest.mark.parametrize("spec,node,target", GRID)
 def test_fused_enumeration_matches_filtered_enumeration(spec, node, target):
-    """enumerate_feasible_orgs == prefilter_org over enumerate_orgs,
-    including candidate order (ranking ties break by that order)."""
-    fused = [org for org, _ in enumerate_feasible_orgs(spec)]
+    """prefilter_grid (the pre-filter fused into enumeration) keeps
+    exactly the orgs prefilter_org passes over enumerate_orgs, including
+    candidate order (ranking ties break by that order)."""
+    fused = [org for org, _ in prefilter_grid(spec)]
     filtered = [
         org for org in enumerate_orgs(spec)
         if prefilter_org(spec, org) is not None
@@ -101,21 +134,23 @@ def test_fused_enumeration_matches_filtered_enumeration(spec, node, target):
 
 @pytest.mark.parametrize("spec,node,target", GRID)
 def test_vectorized_grid_matches_fused_enumeration(spec, node, target):
-    """The numpy batch pre-filter produces exactly the fused scalar
+    """The kernels' survivor arrays materialize to exactly the fused
     enumeration: same survivors, same geometries, same order."""
-    assert prefilter_grid(spec) == list(enumerate_feasible_orgs(spec))
+    assert survivor_batch(spec).candidates() == prefilter_grid(spec)
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 4])
-@pytest.mark.parametrize("spec,node,target", GRID)
-def test_parallel_optimize_is_bit_identical(spec, node, target, jobs):
-    """optimize(jobs=N) returns field-for-field identical ArrayMetrics
-    to the serial path: sharded workers with worker-local caches change
-    wall time only, never numbers or ranking tie-breaks."""
-    tech = technology(node)
-    serial = optimize(tech, spec, target)
-    sharded = optimize(tech, spec, target, jobs=jobs)
-    assert_metrics_identical(serial, sharded)
+@pytest.mark.parametrize("spec", PREFILTER_SPECS)
+def test_prefilter_grid_matches_scalar_oracle(spec):
+    """The numpy batch pre-filter equals the scalar ``prefilter_org``
+    over ``enumerate_orgs``: same survivors, same geometries, same order
+    (ranking ties break by that order)."""
+    oracle = [
+        (org, prefilter_org(spec, org))
+        for org in enumerate_orgs(spec)
+        if prefilter_org(spec, org)
+    ]
+    assert oracle
+    assert prefilter_grid(spec) == oracle
 
 
 def _store_spec(backend, tmp_path) -> str:
@@ -231,49 +266,82 @@ def test_tracing_is_numerically_invisible(spec, node, target):
     assert len(obs.tracer) > 0  # the trace actually recorded the run
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_tracing_is_invisible_at_any_job_count(jobs):
-    """Trace on/off x jobs {1,2,4}: same numbers every way, including
-    the worker-span shipping path."""
+def test_tracing_is_invisible_in_process():
+    """Trace on/off: same numbers, with the stats sink attached too."""
     spec, target = sram_spec(), OptimizationTarget()
     tech = technology(32.0)
-    plain = optimize(tech, spec, target, jobs=jobs)
+    plain = optimize(tech, spec, target)
     obs = Obs()
-    traced = optimize(tech, spec, target, jobs=jobs, obs=obs)
+    traced = optimize(tech, spec, target, stats=SweepStats(), obs=obs)
     assert_metrics_identical(plain, traced)
 
 
-def test_faulted_retry_optimize_is_bit_identical():
-    """Fault tolerance's determinism contract: a sweep whose workers
-    crash mid-run under ``on_error="retry"`` -- one chunk raising, one
-    chunk hard-killing its worker process -- completes with
-    field-for-field identical metrics to the unfaulted serial run.  A
-    retried chunk rebuilds the same designs from the same candidates,
-    and the merge is still candidate-ordered."""
+def golden_triad_batch() -> tuple[list, list]:
+    """The golden triad's recorded solves as (specs, targets)."""
+    path = Path(__file__).resolve().parent.parent / "data"
+    golden = json.loads((path / "golden_triad.json").read_text())
+    presets = {
+        "balanced": OptimizationTarget(),
+        "density": DENSITY_OPTIMIZED,
+        "energy-delay": ENERGY_DELAY_OPTIMIZED,
+    }
+    specs = [MemorySpec(**r["spec"]) for r in golden["solves"]]
+    targets = [presets[r["target"]] for r in golden["solves"]]
+    return specs, targets
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_tracing_is_invisible_at_any_job_count(jobs):
+    """Trace on/off x jobs {1,2,4} over a batch: same solutions every
+    way, including the worker-span shipping path."""
+    from repro.core.cacti import solve_batch
+
+    specs, targets = golden_triad_batch()
+    plain = solve_batch(specs, targets, jobs=jobs)
+    obs = Obs()
+    traced = solve_batch(specs, targets, jobs=jobs, obs=obs)
+    # ArrayMetrics equality is field-for-field float ==, i.e. bit-identity.
+    assert [(s.data, s.tag) for s in traced] == [
+        (s.data, s.tag) for s in plain
+    ]
+    assert len(obs.tracer) > 0
+
+
+def test_faulted_retry_batch_is_bit_identical():
+    """Fault tolerance's determinism contract: a batch whose workers
+    crash mid-run under ``on_error="retry"`` -- one solve raising, one
+    solve hard-killing its worker process -- completes with
+    field-for-field identical solutions to the unfaulted serial run.
+    A retried solve recomputes the same spec, and results merge in spec
+    order."""
+    from repro.core.cacti import solve_batch
     from repro.core.resilience import FaultPlan, FaultSpec, ResiliencePolicy
 
-    spec, target = sram_spec(), OptimizationTarget()
-    tech = technology(32.0)
-    serial = optimize(tech, spec, target)
+    specs, targets = golden_triad_batch()
+    serial = solve_batch(specs, targets, jobs=1)
     plan = FaultPlan((
-        FaultSpec("optimizer.chunk", 0, "raise", trips=1),
-        FaultSpec("optimizer.chunk", 2, "kill", trips=1),
+        FaultSpec("batch.solve", 0, "raise", trips=1),
+        FaultSpec("batch.solve", 2, "kill", trips=1),
     ))
     stats = SweepStats()
     policy = ResiliencePolicy(
         on_error="retry", max_retries=2, backoff_s=0.01, fault_plan=plan
     )
-    faulted = optimize(
-        tech, spec, target, jobs=2, stats=stats, resilience=policy
+    faulted = solve_batch(
+        specs, targets, jobs=2, stats=stats, resilience=policy
     )
-    assert_metrics_identical(serial, faulted)
+    assert not faulted.failed
+    # ArrayMetrics equality is field-for-field float ==, i.e. bit-identity.
+    assert [(s.data, s.tag) for s in faulted] == [
+        (s.data, s.tag) for s in serial
+    ]
     assert stats.retries >= 1  # the raise fault cost one retry
     assert stats.pool_rebuilds >= 1  # the kill fault broke a pool
-    assert stats.tasks_failed == 0  # every chunk eventually completed
+    assert stats.tasks_failed == 0  # every solve eventually completed
 
 
 def test_every_sink_together_is_invisible(tmp_path):
-    """obs + stats + solve cache + workers all at once, still golden."""
+    """obs + stats + solve cache all at once, still golden."""
     spec, target = sram_spec(), OptimizationTarget()
     tech = technology(32.0)
     direct = optimize(tech, spec, target)
@@ -283,7 +351,6 @@ def test_every_sink_together_is_invisible(tmp_path):
         target,
         solve_cache=SolveCache(tmp_path / "solves.json"),
         stats=SweepStats(),
-        jobs=2,
         obs=Obs(),
     )
     assert_metrics_identical(direct, kitchen_sink)

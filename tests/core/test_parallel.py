@@ -1,28 +1,19 @@
 """Unit tests for the multi-process batch execution engine."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.array import kernels
-from repro.array.organization import ArraySpec, EvalCache
+from repro.array.organization import EvalCache
 from repro.core import parallel
-from repro.core.cacti import solve, solve_batch, CactiD
+from repro.core.cacti import data_array_spec, solve, solve_batch, CactiD
 from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import SweepStats, feasible_designs
-from repro.core.parallel import chunk_evenly, parallel_map, resolve_jobs
+from repro.core.parallel import parallel_map, resolve_jobs
 from repro.core.solvecache import SolveCache
 from repro.study.sensitivity import capacity_sweep, sweep
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
-
-TECH = technology(32)
-
-SPEC = ArraySpec(
-    capacity_bits=8 * (64 << 10),
-    output_bits=512,
-    assoc=8,
-    cell_tech=CellTech.SRAM,
-    periph_device_type="hp-long-channel",
-)
 
 BATCH = [
     MemorySpec(capacity_bytes=512 << 10, cell_tech=CellTech.SRAM),
@@ -53,20 +44,23 @@ class TestEffectiveJobs:
         assert parallel.effective_jobs(7, n_tasks=1) == 7
         assert parallel.effective_jobs(0, n_tasks=1) == resolve_jobs(None)
 
-    def test_auto_goes_serial_below_min_tasks(self):
-        assert parallel.effective_jobs("auto", n_tasks=10) == 1
-        assert (
-            parallel.effective_jobs("auto", n_tasks=10, min_tasks=5)
-            == resolve_jobs(None)
+    @staticmethod
+    def _four_cores(monkeypatch):
+        monkeypatch.setattr(
+            parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+            raising=False,
         )
 
-    def test_auto_goes_wide_at_or_above_min_tasks(self):
-        assert (
-            parallel.effective_jobs(
-                "auto", n_tasks=parallel.AUTO_MIN_TASKS
-            )
-            == resolve_jobs(None)
-        )
+    def test_auto_goes_serial_below_min_tasks(self, monkeypatch):
+        self._four_cores(monkeypatch)
+        assert parallel.MIN_PARALLEL_TASKS == 2
+        assert parallel.effective_jobs("auto", n_tasks=1) == 1
+        assert parallel.effective_jobs("auto", n_tasks=0) == 1
+
+    def test_auto_goes_wide_at_or_above_min_tasks(self, monkeypatch):
+        self._four_cores(monkeypatch)
+        assert parallel.effective_jobs("auto", n_tasks=2) == 4
+        assert parallel.effective_jobs("auto", n_tasks=10_000) == 4
 
     def test_auto_without_task_count_goes_wide(self):
         assert parallel.effective_jobs("auto") == resolve_jobs(None)
@@ -77,24 +71,6 @@ class TestEffectiveJobs:
             raising=False,
         )
         assert parallel.effective_jobs("auto", n_tasks=10_000_000) == 1
-
-
-class TestChunkEvenly:
-    def test_concatenation_reproduces_input_order(self):
-        items = list(range(103))
-        chunks = chunk_evenly(items, jobs=4)
-        assert [x for chunk in chunks for x in chunk] == items
-
-    def test_no_empty_chunks(self):
-        for n in (1, 2, 5, 16, 100):
-            for chunk in chunk_evenly(list(range(n)), jobs=4):
-                assert chunk
-
-    def test_empty_input(self):
-        assert chunk_evenly([], jobs=4) == []
-
-    def test_chunk_count_bounded_by_items(self):
-        assert len(chunk_evenly([1, 2], jobs=8)) <= 2
 
 
 def _double(x):
@@ -109,23 +85,6 @@ class TestParallelMap:
         assert parallel_map(_double, list(range(20)), jobs=2) == [
             2 * x for x in range(20)
         ]
-
-
-class TestParallelFeasibleDesigns:
-    def test_matches_serial_including_order(self):
-        serial = feasible_designs(TECH, SPEC, cache=EvalCache())
-        sharded = feasible_designs(TECH, SPEC, jobs=2)
-        assert serial == sharded
-
-    def test_worker_stats_absorbed(self):
-        stats = SweepStats()
-        designs = feasible_designs(TECH, SPEC, stats=stats, jobs=2)
-        assert stats.workers_absorbed > 0
-        assert stats.worker_time_s > 0.0
-        assert stats.enumerated == stats.prefiltered + stats.built
-        assert stats.feasible == len(designs)
-        assert stats.built == stats.feasible + stats.infeasible_at_build
-        assert "build" in stats.phase_times
 
 
 class TestSolveBatch:
@@ -186,9 +145,15 @@ class TestParallelSensitivity:
         assert stats.subarray_hits > 0
 
     def test_shared_eval_cache_reuses_htrees_on_scalar_path(self):
-        stats = SweepStats()
-        with kernels.disabled():
-            capacity_sweep(self.BASE, factors=(1, 2, 4), stats=stats)
+        cache, stats = EvalCache(), SweepStats()
+        tech = technology(self.BASE.node_nm)
+        for factor in (1, 2, 4):
+            spec = replace(
+                self.BASE, capacity_bytes=self.BASE.capacity_bytes * factor
+            )
+            feasible_designs(
+                tech, data_array_spec(spec), cache=cache, stats=stats
+            )
         assert stats.subarray_hits > 0
         assert stats.htree_hits > 0
 

@@ -56,14 +56,14 @@ class TestMerging:
     def test_absorb_adds_counters_and_histograms(self):
         worker = MetricsRegistry()
         worker.counter("optimizer.built").inc(10)
-        worker.histogram("parallel.chunk_s").observe(0.5)
+        worker.histogram("phase.build_s").observe(0.5)
         parent = MetricsRegistry()
         parent.counter("optimizer.built").inc(2)
-        parent.histogram("parallel.chunk_s").observe(1.5)
+        parent.histogram("phase.build_s").observe(1.5)
         parent.absorb(worker.snapshot())
         snap = parent.snapshot()
         assert snap["counters"]["optimizer.built"] == 12
-        h = snap["histograms"]["parallel.chunk_s"]
+        h = snap["histograms"]["phase.build_s"]
         assert h["count"] == 2 and h["min"] == 0.5 and h["max"] == 1.5
 
     def test_absorb_gauges_last_write_wins(self):

@@ -1,9 +1,9 @@
 """End-to-end observability: spans and metrics through real solves.
 
-Covers the span taxonomy of a full solve, worker-span stitching at
-jobs {1, 2}, machine-readable run reports, and the instrumented
-sensitivity sweep.  The numeric side of the determinism contract lives
-in tests/core/test_golden_equivalence.py.
+Covers the span taxonomy of a full solve, worker-span stitching of
+batch solves at jobs {1, 2}, machine-readable run reports, and the
+instrumented sensitivity sweep.  The numeric side of the determinism
+contract lives in tests/core/test_golden_equivalence.py.
 """
 
 import json
@@ -81,18 +81,24 @@ class TestWorkerStitching:
         obs = Obs()
         solve(SPEC, obs=obs, jobs=1)
         assert {d["pid"] for d in obs.tracer.to_dicts()} == {os.getpid()}
-        assert "chunk" not in names(obs)
 
     def test_parallel_trace_stitches_worker_spans(self):
+        specs = [
+            SPEC,
+            MemorySpec(capacity_bytes=128 << 10, block_bytes=64,
+                       associativity=8, node_nm=32.0),
+        ]
         obs = Obs()
-        solve(SPEC, obs=obs, jobs=2)
+        solve_batch(specs, obs=obs, jobs=2)
         spans = obs.tracer.to_dicts()
-        chunk_pids = {d["pid"] for d in spans if d["name"] == "chunk"}
-        assert chunk_pids, "workers shipped no chunk spans home"
-        assert os.getpid() not in chunk_pids
-        # Worker chunk metrics land in the parent registry.
+        solve_pids = {d["pid"] for d in spans if d["name"] == "solve"}
+        assert solve_pids, "workers shipped no solve spans home"
+        assert os.getpid() not in solve_pids
+        # Worker solve metrics land in the parent registry, which did
+        # no solving of its own.
         snap = obs.metrics.snapshot()
-        assert snap["histograms"]["parallel.chunk_s"]["count"] > 0
+        assert snap["counters"]["optimizer.feasible"] > 0
+        assert snap["histograms"]["phase.build_s"]["count"] == 4
         assert snap["gauges"]["parallel.worker_utilization"] is not None
 
     @pytest.mark.parametrize("jobs", [1, 2])
