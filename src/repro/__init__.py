@@ -18,22 +18,26 @@ Quick start::
     print(solution.summary())
 """
 
-from repro.array.mainmem import MainMemorySpec
-from repro.core import (
-    AccessMode,
-    CactiD,
-    MainMemorySolution,
-    MemorySpec,
-    NoFeasibleSolution,
-    OptimizationTarget,
-    Solution,
-    SolveCache,
-    SweepStats,
-    solve,
-    solve_batch,
-    solve_main_memory,
-)
-from repro.tech import CellTech, technology
+from repro._lazy import lazy_exports
+
+#: Where each public name is defined; it is imported on first access.
+_EXPORTS = {
+    "AccessMode": "repro.core.config",
+    "CactiD": "repro.core.cacti",
+    "CellTech": "repro.tech.registry",
+    "MainMemorySolution": "repro.core.cacti",
+    "MainMemorySpec": "repro.array.mainmem",
+    "MemorySpec": "repro.core.config",
+    "NoFeasibleSolution": "repro.core.optimizer",
+    "OptimizationTarget": "repro.core.config",
+    "Solution": "repro.core.results",
+    "SolveCache": "repro.core.solvecache",
+    "SweepStats": "repro.core.optimizer",
+    "solve": "repro.core.cacti",
+    "solve_batch": "repro.core.cacti",
+    "solve_main_memory": "repro.core.cacti",
+    "technology": "repro.tech.nodes",
+}
 
 __version__ = "1.0.0"
 
@@ -55,3 +59,6 @@ __all__ = [
     "technology",
     "__version__",
 ]
+
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

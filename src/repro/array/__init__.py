@@ -1,28 +1,33 @@
 """Array organization: subarrays, mats, H-trees, banks, main-memory chips."""
 
-from repro.array.htree import HTree, design_htree
-from repro.array.mainmem import (
-    MainMemoryEnergies,
-    MainMemorySpec,
-    MainMemoryTiming,
-    derive_energies,
-    derive_timing,
-)
-from repro.array.mat import Mat, mats_in_bank
-from repro.array.organization import (
-    ArrayMetrics,
-    ArraySpec,
-    EvalCache,
-    InfeasibleOrganization,
-    OrgGeometry,
-    OrgParams,
-    build_organization,
-    derive_geometry,
-    enumerate_orgs,
-    prefilter_org,
-)
-from repro.array.stacking import StackedBank, stacking_sweep
-from repro.array.subarray import InfeasibleSubarray, Subarray
+from repro._lazy import lazy_exports
+
+#: Where each public name is defined; it is imported on first access.
+_EXPORTS = {
+    "ArrayMetrics": "repro.array.organization",
+    "ArraySpec": "repro.array.organization",
+    "EvalCache": "repro.array.organization",
+    "HTree": "repro.array.htree",
+    "InfeasibleOrganization": "repro.array.organization",
+    "InfeasibleSubarray": "repro.array.subarray",
+    "OrgGeometry": "repro.array.organization",
+    "MainMemoryEnergies": "repro.array.mainmem",
+    "MainMemorySpec": "repro.array.mainmem",
+    "MainMemoryTiming": "repro.array.mainmem",
+    "Mat": "repro.array.mat",
+    "OrgParams": "repro.array.organization",
+    "StackedBank": "repro.array.stacking",
+    "Subarray": "repro.array.subarray",
+    "build_organization": "repro.array.organization",
+    "derive_energies": "repro.array.mainmem",
+    "derive_geometry": "repro.array.organization",
+    "derive_timing": "repro.array.mainmem",
+    "design_htree": "repro.array.htree",
+    "enumerate_orgs": "repro.array.organization",
+    "mats_in_bank": "repro.array.mat",
+    "prefilter_org": "repro.array.organization",
+    "stacking_sweep": "repro.array.stacking",
+}
 
 __all__ = [
     "ArrayMetrics",
@@ -49,3 +54,5 @@ __all__ = [
     "prefilter_org",
     "stacking_sweep",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

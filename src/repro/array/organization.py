@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as _np
-
 from repro.array.htree import HTree, design_htree
 from repro.array.mat import mats_in_bank
 from repro.array.subarray import InfeasibleSubarray, Subarray
@@ -671,6 +669,8 @@ def survivor_arrays(
     The arithmetic is float64/int64, the same IEEE-754 operations the
     scalar path performs, so the integrality tests agree bit for bit.
     """
+    import numpy as _np
+
     axes = _org_grid(spec, max_ndwl, max_ndbl, nspd_values, max_mux)
     ndwls, ndbls, nspds, ndcms, ndsams = axes
     traits = spec.cell_tech.traits

@@ -11,22 +11,25 @@ with ``fallback="solve"|"error"|"nearest"`` for everything the grid
 cannot answer.  See ``docs/MODELING.md`` section 16.
 """
 
-from repro.cachedb.builder import BuildReport, build_cachedb
-from repro.cachedb.reader import (
-    FALLBACKS,
-    CacheDB,
-    CacheDBError,
-    CacheDBMiss,
-    CacheDBResult,
-    open_cachedb,
-)
-from repro.cachedb.schema import (
-    DB_FORMAT_VERSION,
-    DB_METRICS,
-    GridSpec,
-    grid_key,
-    grid_spec_for,
-)
+from repro._lazy import lazy_exports
+
+#: Where each public name is defined; it is imported on first access,
+#: so reading an artifact never loads the builder's solver stack.
+_EXPORTS = {
+    "BuildReport": "repro.cachedb.builder",
+    "CacheDB": "repro.cachedb.reader",
+    "CacheDBError": "repro.cachedb.reader",
+    "CacheDBMiss": "repro.cachedb.reader",
+    "CacheDBResult": "repro.cachedb.reader",
+    "DB_FORMAT_VERSION": "repro.cachedb.schema",
+    "DB_METRICS": "repro.cachedb.schema",
+    "FALLBACKS": "repro.cachedb.reader",
+    "GridSpec": "repro.cachedb.schema",
+    "build_cachedb": "repro.cachedb.builder",
+    "grid_key": "repro.cachedb.schema",
+    "grid_spec_for": "repro.cachedb.schema",
+    "open_cachedb": "repro.cachedb.reader",
+}
 
 __all__ = [
     "BuildReport",
@@ -43,3 +46,5 @@ __all__ = [
     "grid_spec_for",
     "open_cachedb",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -29,8 +29,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.array.mainmem import MainMemorySpec
-from repro.core.cacti import solve, solve_main_memory
 from repro.core.config import (
     DENSITY_OPTIMIZED,
     ENERGY_DELAY_OPTIMIZED,
@@ -424,10 +422,12 @@ def _run_cache(args: argparse.Namespace) -> int:
             CellTech(args.tag_tech) if args.tag_tech is not None else None
         ),
     )
+    from repro.core.cacti import solve
+
     solve_cache, stats, obs, resilience = _solver_knobs(args)
     cachedb = None
     if args.cachedb is not None:
-        from repro.cachedb import CacheDB
+        from repro.cachedb.reader import CacheDB
 
         cachedb = CacheDB(args.cachedb, obs=obs)
     solution = solve(
@@ -447,6 +447,9 @@ def _run_cache(args: argparse.Namespace) -> int:
 
 
 def _run_main_memory(args: argparse.Namespace) -> int:
+    from repro.array.mainmem import MainMemorySpec
+    from repro.core.cacti import solve_main_memory
+
     spec = MainMemorySpec(
         capacity_bits=args.capacity,
         nbanks=args.banks,
@@ -654,9 +657,14 @@ def _split_list(text: str) -> list[str]:
 
 
 def _run_cachedb(args: argparse.Namespace) -> int:
-    from repro.cachedb import CacheDB, GridSpec, build_cachedb
+    # Queries and info read the artifact only; the builder (and the
+    # solver stack behind it) loads for ``build`` alone.
+    from repro.cachedb.reader import CacheDB
 
     if args.cachedb_command == "build":
+        from repro.cachedb.builder import build_cachedb
+        from repro.cachedb.schema import GridSpec
+
         grid = GridSpec(
             capacities_bytes=tuple(
                 parse_size(v) for v in _split_list(args.capacities)

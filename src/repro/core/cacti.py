@@ -21,6 +21,11 @@ at any job count -- parallelism only changes wall time.  The
 single-spec entry points accept ``jobs`` and ``resilience`` too, but a
 single spec always solves in-process: its candidate grid is evaluated
 by the vectorized kernels, faster than worker processes could start.
+
+Importing this module loads neither numpy nor the process pool: the
+kernels load on the first live solve and the pool machinery on the
+first :func:`solve_batch`, so a solve served from a solve store or a
+cachedb never pays for either.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from repro.core.config import (
     MemorySpec,
     OptimizationTarget,
 )
-from repro.core import parallel
 from repro.core.optimizer import SweepStats, optimize
 from repro.core.resilience import ResiliencePolicy, TaskFailure, task_key
 from repro.core.results import Solution
@@ -116,21 +120,15 @@ def solve(
     disk (flushed once at the solve boundary); ``stats`` accumulates
     :class:`~repro.core.optimizer.SweepStats` counters; ``obs`` records
     a ``solve`` span with nested data/tag array sweeps.  ``cachedb`` (a
-    :class:`~repro.cachedb.CacheDB`) is consulted first: an exact
-    precomputed hit -- bit-identical to solving live -- returns in
-    microseconds, anything else falls through to the solver.  None of
+    :class:`~repro.cachedb.CacheDB`) is consulted first, inside that
+    span: an exact precomputed hit -- bit-identical to solving live --
+    returns in microseconds with the span tagged ``source="cachedb"``,
+    anything else falls through to the solver.  None of
     them changes the returned numbers.  ``jobs`` and ``resilience`` are
     accepted for API compatibility and ignored: a single spec always
     solves in-process (use :func:`solve_batch` to fan specs out).
     """
     target = target or OptimizationTarget()
-    if cachedb is not None:
-        precomputed = cachedb.lookup_exact(spec, target, obs=obs)
-        if precomputed is not None:
-            return precomputed
-    tech = technology(spec.node_nm)
-    if eval_cache is None:
-        eval_cache = EvalCache()
     with maybe_span(
         obs,
         "solve",
@@ -138,7 +136,16 @@ def solve(
         cell_tech=spec.cell_tech.value,
         node_nm=spec.node_nm,
         kind="cache" if spec.is_cache else "ram",
-    ):
+    ) as span:
+        if cachedb is not None:
+            precomputed = cachedb.lookup_exact(spec, target, obs=obs)
+            if precomputed is not None:
+                if span is not None:
+                    span.attrs["source"] = "cachedb"
+                return precomputed
+        tech = technology(spec.node_nm)
+        if eval_cache is None:
+            eval_cache = EvalCache()
         # Hold the solve cache open so the data and tag sweeps flush
         # once, at this solve boundary, not once per optimize.
         with solve_cache if solve_cache is not None else nullcontext():
@@ -196,6 +203,8 @@ def _solve_batch_task(payload: tuple) -> tuple[Solution, dict]:
     home as a plain dict -- with its local spans/metrics under
     ``"obs"`` when the parent traces.
     """
+    from repro.core import parallel
+
     spec, target, cache_path, with_obs = payload
     stats = SweepStats()
     obs = Obs() if with_obs else None
@@ -243,6 +252,9 @@ def solve_batch(
     skip/retry mode the returned :class:`BatchOutcome` carries ``None``
     at failed slots plus the failures in ``.failed``.
     """
+    # The process pool machinery loads only when a batch runs.
+    from repro.core import parallel
+
     specs = list(specs)
     if target is None or isinstance(target, OptimizationTarget):
         targets = [target] * len(specs)
@@ -333,6 +345,8 @@ def _solve_batch_resilient(
     and vice versa; in-process execution reuses the process-local
     eval/solve caches exactly as a worker would.
     """
+    from repro.core import parallel
+
     cache_path = (
         solve_cache.url if solve_cache is not None else None
     )

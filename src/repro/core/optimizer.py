@@ -46,7 +46,6 @@ from repro.array.organization import (
     prefilter_grid,
     prefilter_org,
 )
-from repro.array import kernels
 from repro.core.config import OptimizationTarget
 from repro.core.solvecache import account_store as _account_store
 from repro.obs import Obs, maybe_span
@@ -510,6 +509,10 @@ def _ranked_designs(
     materialized winners (the batch replaces per-candidate tree objects
     with closed-form arithmetic).
     """
+    # The kernels (and numpy) load on the first live solve, so solve-
+    # store and cachedb hits never pay for them.
+    from repro.array import kernels
+
     with obs_phase("prefilter", obs, stats):
         batch = kernels.survivor_batch(spec)
     if stats is not None:

@@ -212,6 +212,19 @@ class TestSolveIntegration:
         assert metrics_to_dict(served.data) == metrics_to_dict(live.data)
         assert metrics_to_dict(served.tag) == metrics_to_dict(live.tag)
 
+    def test_cachedb_hit_is_traced_inside_the_solve_span(self, db):
+        spec = grid_spec_for("sram", 32.0, CAPS[0], 64, 8)
+        untraced = solve(spec, cachedb=db)
+        obs = Obs()
+        served = solve(spec, cachedb=db, obs=obs)
+        assert served == untraced
+        solve_spans = [s for s in obs.tracer.spans if s.name == "solve"]
+        assert len(solve_spans) == 1
+        assert solve_spans[0].attrs["source"] == "cachedb"
+        # A hit never reaches the optimizer: no array sweeps traced.
+        assert [s.name for s in obs.tracer.spans] == ["solve"]
+        assert obs.metrics.snapshot()["counters"]["cachedb.hits"] == 1
+
     def test_cactid_accepts_cachedb_path(self, db_path):
         facade = CactiD(cachedb=db_path)
         spec = grid_spec_for("sram", 32.0, CAPS[0], 64, 8)
