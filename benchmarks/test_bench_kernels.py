@@ -26,6 +26,7 @@ from repro.core.optimizer import (
     filter_constraints,
     rank,
 )
+from repro.obs import Obs
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
 
@@ -45,31 +46,31 @@ BATCH = [
 MIN_SPEEDUP = 2.0
 
 
-def scalar_best(tech, spec, target, cache, stats):
+def scalar_best(tech, spec, target, cache, obs):
     """The scalar reference's winner: every candidate built, then
     constrained and ranked as objects."""
-    designs = feasible_designs(tech, spec, cache=cache, stats=stats)
+    designs = feasible_designs(tech, spec, cache=cache, obs=obs)
     return rank(filter_constraints(designs, target), target)[0]
 
 
 def test_bench_kernels_vs_scalar_sweep():
     target = OptimizationTarget()
 
-    stats_fast = SweepStats()
+    obs_fast = Obs()
     t0 = time.perf_counter()
-    fast = solve_batch(BATCH, target, stats=stats_fast, jobs=1)
+    fast = solve_batch(BATCH, target, obs=obs_fast, jobs=1)
     wall_fast = time.perf_counter() - t0
 
     # One EvalCache spans the scalar batch, as it does the serial
     # solve_batch above.
-    stats_slow = SweepStats()
+    obs_slow = Obs()
     cache = EvalCache()
     t0 = time.perf_counter()
     slow = []
     for spec in BATCH:
         tech = technology(spec.node_nm)
         slow.append(tuple(
-            scalar_best(tech, array_spec, target, cache, stats_slow)
+            scalar_best(tech, array_spec, target, cache, obs_slow)
             for array_spec in (data_array_spec(spec), tag_array_spec(spec))
         ))
     wall_slow = time.perf_counter() - t0
@@ -97,8 +98,8 @@ def test_bench_kernels_vs_scalar_sweep():
         "speedup": speedup,
         "min_speedup_asserted": MIN_SPEEDUP,
         "sweep_stats": {
-            "kernels": stats_fast.as_dict(),
-            "scalar": stats_slow.as_dict(),
+            "kernels": SweepStats(obs_fast.metrics).as_dict(),
+            "scalar": SweepStats(obs_slow.metrics).as_dict(),
         },
         "bit_identical": True,
     }

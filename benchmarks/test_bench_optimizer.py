@@ -21,6 +21,7 @@ from repro.core.cacti import data_array_spec, solve, tag_array_spec
 from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import SweepStats, feasible_designs, optimize
 from repro.core.solvecache import SolveCache
+from repro.obs import Obs
 from repro.tech.nodes import technology
 
 SPEC = MemorySpec(capacity_bytes=4 << 20, block_bytes=64, associativity=8,
@@ -111,10 +112,11 @@ def test_fast_path_speedup(tmp_path, benchmark):
     naive()
     naive_s = time.perf_counter() - t0
 
-    stats = SweepStats()
+    obs = Obs()
+    stats = SweepStats(obs.metrics)
 
     def fast():
-        return solve(spec, stats=stats)
+        return solve(spec, obs=obs)
 
     t0 = time.perf_counter()
     cold = benchmark.pedantic(fast, rounds=1, iterations=1)

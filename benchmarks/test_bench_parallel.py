@@ -19,6 +19,7 @@ from repro.core.cacti import solve_batch
 from repro.core.config import MemorySpec
 from repro.core.optimizer import SweepStats
 from repro.core.parallel import resolve_jobs
+from repro.obs import Obs
 from repro.tech.cells import CellTech
 
 BENCH_FILE = os.path.join(
@@ -43,9 +44,10 @@ def test_bench_parallel_batch_solve():
     stats: dict[int, SweepStats] = {}
     solutions = {}
     for jobs in JOBS:
-        stats[jobs] = SweepStats()
+        obs = Obs()
+        stats[jobs] = SweepStats(obs.metrics)
         t0 = time.perf_counter()
-        solutions[jobs] = solve_batch(BATCH, stats=stats[jobs], jobs=jobs)
+        solutions[jobs] = solve_batch(BATCH, obs=obs, jobs=jobs)
         wall[jobs] = time.perf_counter() - t0
 
     # Contract: parallelism changes wall time only, never numbers.

@@ -280,8 +280,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         solver.add_argument(
             "--stats", action="store_true",
-            help="print optimizer sweep statistics (candidate counts, "
-                 "cache hit rates, wall time)",
+            help="print the run's optimizer funnel (candidates "
+                 "enumerated, pre-filtered, built, feasible), cache hit "
+                 "counts, resilience events and phase wall times, read "
+                 "from the same counters --metrics writes",
         )
         solver.add_argument(
             "--jobs", type=_jobs_arg, default="auto", metavar="N",
@@ -329,14 +331,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_knobs(args: argparse.Namespace) -> tuple:
-    """The optional solve cache, stats accumulator, tracer, and
-    resilience policy for a run."""
+    """The optional solve cache, observability bundle, and resilience
+    policy for a run.  One ``Obs`` backs ``--stats``, ``--trace`` and
+    ``--metrics`` alike, so all three report the same counts."""
     solve_cache = (
         SolveCache(args.cache_path) if args.cache_path is not None else None
     )
-    stats = SweepStats() if args.stats else None
-    obs = Obs() if (args.trace or args.metrics) else None
-    return solve_cache, stats, obs, _resilience_policy(args)
+    obs = Obs() if (args.stats or args.trace or args.metrics) else None
+    return solve_cache, obs, _resilience_policy(args)
 
 
 def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
@@ -355,16 +357,14 @@ def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
     )
 
 
-def _print_stats(stats: SweepStats | None) -> None:
-    if stats is not None:
-        print()
-        print(stats.summary())
-
-
-def _write_obs(args: argparse.Namespace, obs: Obs | None) -> None:
-    """Write the requested trace/metrics files after a successful run."""
+def _report_obs(args: argparse.Namespace, obs: Obs | None) -> None:
+    """Print ``--stats`` and write the requested trace/metrics files
+    after a successful run."""
     if obs is None:
         return
+    if args.stats:
+        print()
+        print(SweepStats(obs.metrics).summary())
     if args.trace:
         obs.tracer.write_chrome(args.trace)
     if args.metrics:
@@ -424,7 +424,7 @@ def _run_cache(args: argparse.Namespace) -> int:
     )
     from repro.core.cacti import solve
 
-    solve_cache, stats, obs, resilience = _solver_knobs(args)
+    solve_cache, obs, resilience = _solver_knobs(args)
     cachedb = None
     if args.cachedb is not None:
         from repro.cachedb.reader import CacheDB
@@ -434,15 +434,13 @@ def _run_cache(args: argparse.Namespace) -> int:
         spec,
         _PRESETS[args.optimize],
         solve_cache=solve_cache,
-        stats=stats,
         jobs=args.jobs,
         obs=obs,
         resilience=resilience,
         cachedb=cachedb,
     )
     print(solution.summary())
-    _print_stats(stats)
-    _write_obs(args, obs)
+    _report_obs(args, obs)
     return 0
 
 
@@ -457,44 +455,39 @@ def _run_main_memory(args: argparse.Namespace) -> int:
         burst_length=args.burst,
         page_bits=args.page,
     )
-    solve_cache, stats, obs, resilience = _solver_knobs(args)
+    solve_cache, obs, resilience = _solver_knobs(args)
     solution = solve_main_memory(
         spec,
         node_nm=args.node,
         solve_cache=solve_cache,
-        stats=stats,
         jobs=args.jobs,
         obs=obs,
         resilience=resilience,
     )
     print(solution.summary())
-    _print_stats(stats)
-    _write_obs(args, obs)
+    _report_obs(args, obs)
     return 0
 
 
 def _run_validate(args: argparse.Namespace) -> int:
     from repro.validation.compare import validate_ddr3
 
-    solve_cache, stats, obs, _unused = _solver_knobs(args)
-    validation = validate_ddr3(solve_cache=solve_cache, stats=stats, obs=obs)
+    solve_cache, obs, _unused = _solver_knobs(args)
+    validation = validate_ddr3(solve_cache=solve_cache, obs=obs)
     print(validation.report())
-    _print_stats(stats)
-    _write_obs(args, obs)
+    _report_obs(args, obs)
     return 0
 
 
 def _run_table3(args: argparse.Namespace) -> int:
     from repro.study.table3 import solve_table3
 
-    solve_cache, stats, obs, resilience = _solver_knobs(args)
+    solve_cache, obs, resilience = _solver_knobs(args)
     # Pass only the live knobs: a knob-free call keeps table3's memo of
     # already-solved rows (and a second `repro table3` stays fast).
     knobs = {}
     if solve_cache is not None:
         knobs["solve_cache"] = solve_cache
-    if stats is not None:
-        knobs["stats"] = stats
     if obs is not None:
         knobs["obs"] = obs
     # "auto" stays out of the knobs, so the default invocation remains
@@ -512,8 +505,7 @@ def _run_table3(args: argparse.Namespace) -> int:
             f"leak={row.leakage_w:.3f} W  refresh={row.refresh_w:.4f} W  "
             f"E_rd={row.e_read_nj:.2f} nJ"
         )
-    _print_stats(stats)
-    _write_obs(args, obs)
+    _report_obs(args, obs)
     return 0
 
 
@@ -550,7 +542,7 @@ def _run_study(args: argparse.Namespace) -> int:
                 f"unknown configuration(s) {unknown}; "
                 f"choose from {list(CONFIG_NAMES)}"
             )
-    _solve_cache, stats, obs, resilience = _solver_knobs(args)
+    _solve_cache, obs, resilience = _solver_knobs(args)
     result = run_study(
         profiles=profiles,
         configs=configs,
@@ -561,7 +553,6 @@ def _run_study(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         obs=obs,
         resilience=resilience,
-        stats=stats,
         cachedb=args.cachedb,
     )
     header = "app".ljust(10) + "".join(c.rjust(12) for c in configs)
@@ -584,8 +575,7 @@ def _run_study(args: argparse.Namespace) -> int:
                 f"{result.mean_energy_delay_improvement(config) * 100:+5.1f}%"
             )
     _print_failures(result.failed)
-    _print_stats(stats)
-    _write_obs(args, obs)
+    _report_obs(args, obs)
     return 0
 
 
@@ -618,14 +608,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
         node_nm=args.node,
         cell_tech=CellTech(args.tech),
     )
-    solve_cache, stats, obs, resilience = _solver_knobs(args)
+    solve_cache, obs, resilience = _solver_knobs(args)
     result = sweep(
         base,
         args.parameter,
         values,
         _PRESETS[args.optimize],
         solve_cache=solve_cache,
-        stats=stats,
         jobs=args.jobs,
         obs=obs,
         resilience=resilience,
@@ -647,8 +636,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     print()
     print(result.report())
     _print_failures(result.failed)
-    _print_stats(stats)
-    _write_obs(args, obs)
+    _report_obs(args, obs)
     return 0
 
 
@@ -682,7 +670,7 @@ def _run_cachedb(args: argparse.Namespace) -> int:
                 else ()
             ),
         )
-        solve_cache, stats, obs, resilience = _solver_knobs(args)
+        solve_cache, obs, resilience = _solver_knobs(args)
         report = build_cachedb(
             args.path,
             grid,
@@ -690,12 +678,10 @@ def _run_cachedb(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             resilience=resilience,
             solve_cache=solve_cache,
-            stats=stats,
             obs=obs,
         )
         print(report.summary())
-        _print_stats(stats)
-        _write_obs(args, obs)
+        _report_obs(args, obs)
         return 0
 
     if args.cachedb_command == "query":

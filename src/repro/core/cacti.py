@@ -30,7 +30,6 @@ cachedb never pays for either.
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,6 +53,7 @@ from repro.core.resilience import ResiliencePolicy, TaskFailure, task_key
 from repro.core.results import Solution
 from repro.core.solvecache import SolveCache, account_store as _account_store
 from repro.obs import Obs, maybe_span
+from repro.obs import phase as obs_phase
 from repro.tech.nodes import Technology, technology
 
 
@@ -106,7 +106,6 @@ def solve(
     *,
     eval_cache: EvalCache | None = None,
     solve_cache: SolveCache | None = None,
-    stats: SweepStats | None = None,
     jobs: int | str = 1,
     obs: Obs | None = None,
     resilience: ResiliencePolicy | None = None,
@@ -117,9 +116,10 @@ def solve(
     ``eval_cache`` shares circuit designs across candidates and solves
     (a fresh one spanning the data and tag sweeps is created when
     omitted); ``solve_cache`` short-circuits whole repeated solves from
-    disk (flushed once at the solve boundary); ``stats`` accumulates
-    :class:`~repro.core.optimizer.SweepStats` counters; ``obs`` records
-    a ``solve`` span with nested data/tag array sweeps.  ``cachedb`` (a
+    disk (flushed once at the solve boundary); ``obs`` records a
+    ``solve`` span with nested data/tag array sweeps and counts the
+    optimizer funnel (:class:`~repro.core.optimizer.SweepStats` reads
+    it back).  ``cachedb`` (a
     :class:`~repro.cachedb.CacheDB`) is consulted first, inside that
     span: an exact precomputed hit -- bit-identical to solving live --
     returns in microseconds with the span tagged ``source="cachedb"``,
@@ -156,7 +156,6 @@ def solve(
                     target,
                     eval_cache=eval_cache,
                     solve_cache=solve_cache,
-                    stats=stats,
                     obs=obs,
                 )
             tag = None
@@ -168,12 +167,11 @@ def solve(
                         target,
                         eval_cache=eval_cache,
                         solve_cache=solve_cache,
-                        stats=stats,
                         obs=obs,
                     )
         # The boundary flush just ran (unless an enclosing batch defers
-        # it further); drain its store events into the run's sinks.
-        _account_store(solve_cache, stats, obs)
+        # it further); drain its store events into the run's obs.
+        _account_store(solve_cache, obs)
     return Solution(spec=spec, data=data, tag=tag)
 
 
@@ -193,34 +191,28 @@ class BatchOutcome(list):
         self.failed: tuple[TaskFailure, ...] = tuple(failed)
 
 
-def _solve_batch_task(payload: tuple) -> tuple[Solution, dict]:
+def _solve_batch_task(payload: tuple) -> tuple[Solution, dict | None]:
     """Worker task: one full spec solve with worker-local caches.
 
     The worker keeps one :class:`SolveCache` per shared path for its
     whole life (safe: saves are atomic and merge concurrently-written
     records; worker-local memoization means the JSON records parse once
-    per worker, not once per task) and ships its :class:`SweepStats`
-    home as a plain dict -- with its local spans/metrics under
-    ``"obs"`` when the parent traces.
+    per worker, not once per task).  Returns ``(solution, payload)``:
+    the worker's :meth:`~repro.obs.Obs.export_payload` when the parent
+    observes the run, else None.
     """
     from repro.core import parallel
 
     spec, target, cache_path, with_obs = payload
-    stats = SweepStats()
     obs = Obs() if with_obs else None
-    solve_cache = parallel.worker_solve_cache(cache_path)
     solution = solve(
         spec,
         target,
         eval_cache=parallel.worker_eval_cache(),
-        solve_cache=solve_cache,
-        stats=stats,
+        solve_cache=parallel.worker_solve_cache(cache_path),
         obs=obs,
     )
-    stats_dict = stats.as_dict()
-    if obs is not None:
-        stats_dict["obs"] = obs.export_payload()
-    return solution, stats_dict
+    return solution, obs.export_payload() if obs is not None else None
 
 
 def solve_batch(
@@ -229,7 +221,6 @@ def solve_batch(
     *,
     eval_cache: EvalCache | None = None,
     solve_cache: SolveCache | None = None,
-    stats: SweepStats | None = None,
     jobs: int | str = 1,
     obs: Obs | None = None,
     resilience: ResiliencePolicy | None = None,
@@ -240,11 +231,11 @@ def solve_batch(
     ``specs``.  With ``jobs > 1`` the specs are solved concurrently in
     worker processes; each worker shares the persistent ``solve_cache``
     by path (atomic merge-on-save writes make concurrent writers safe)
-    and ships its sweep stats -- and spans/metrics when ``obs`` is
-    given -- back for absorption.  The serial path defers solve-cache
-    flushes to the batch boundary, so the cache file is rewritten once
-    per batch, not once per record.  The returned solutions are
-    bit-identical to the serial path at any job count.
+    and, when ``obs`` is given, ships its spans and metrics back for
+    absorption.  The serial path defers solve-cache flushes to the
+    batch boundary, so the cache file is rewritten once per batch, not
+    once per record.  The returned solutions are bit-identical to the
+    serial path at any job count.
 
     ``resilience`` makes the batch fault tolerant: failed solves are
     retried/skipped/raised per the policy, a journal checkpoints each
@@ -265,15 +256,15 @@ def solve_batch(
                 f"{len(specs)} specs but {len(targets)} targets"
             )
     jobs = parallel.effective_jobs(jobs, len(specs))
-    t0 = time.perf_counter()
     if resilience is not None:
         return _solve_batch_resilient(
-            specs, targets, solve_cache, stats, jobs, obs, resilience, t0
+            specs, targets, solve_cache, jobs, obs, resilience
         )
-    with maybe_span(
-        obs, "batch", specs=len(specs), jobs=jobs
+    fanned_out = jobs > 1 and len(specs) > 1
+    with obs_phase(
+        "batch", obs, specs=len(specs), jobs=jobs
     ) as batch_span:
-        if jobs == 1 or len(specs) <= 1:
+        if not fanned_out:
             # Serial: one EvalCache spans the whole batch, so repeated
             # subarray/H-tree problems are solved once across specs;
             # one deferred flush spans it too (O(1) writes per batch).
@@ -286,14 +277,13 @@ def solve_batch(
                         tgt,
                         eval_cache=eval_cache,
                         solve_cache=solve_cache,
-                        stats=stats,
                         obs=obs,
                     )
                     for spec, tgt in zip(specs, targets)
                 ]
             # Drain the batch-boundary flush that the context exit
             # above just performed.
-            _account_store(solve_cache, stats, obs)
+            _account_store(solve_cache, obs)
         else:
             cache_path = (
                 solve_cache.url if solve_cache is not None else None
@@ -306,37 +296,36 @@ def solve_batch(
                 ],
                 jobs,
             )
+            worker_before = _worker_optimize_s(obs)
             solutions = []
-            worker_wall = 0.0
-            for solution, worker_stats in results:
+            for solution, worker_obs in results:
                 solutions.append(solution)
-                worker_wall += worker_stats.get("wall_time_s", 0.0)
-                if stats is not None:
-                    stats.absorb_worker(worker_stats)
                 if obs is not None:
-                    obs.absorb_worker(worker_stats.get("obs"))
+                    obs.absorb_worker(worker_obs)
+            worker_wall = _worker_optimize_s(obs) - worker_before
             if solve_cache is not None:
                 # Pick up the records the workers just wrote to disk.
                 solve_cache.refresh()
-                # Counter deltas arrived inside the worker stats; this
-                # refreshes the parent-side records/bytes gauges.
-                _account_store(solve_cache, stats, obs)
-            if obs is not None and batch_span is not None:
-                elapsed = time.perf_counter() - t0
-                if elapsed > 0:
-                    obs.gauge(
-                        "parallel.worker_utilization",
-                        worker_wall / (elapsed * jobs),
-                    )
-    if stats is not None:
-        stats.add_phase_time("batch", time.perf_counter() - t0)
-    if obs is not None:
-        obs.observe("phase.batch_s", time.perf_counter() - t0)
+                # Counter deltas arrived inside the worker payloads;
+                # this refreshes the parent-side records/bytes gauges.
+                _account_store(solve_cache, obs)
+    if fanned_out and batch_span is not None and batch_span.duration_s > 0:
+        obs.gauge(
+            "parallel.worker_utilization",
+            worker_wall / (batch_span.duration_s * jobs),
+        )
     return solutions
 
 
+def _worker_optimize_s(obs: Obs | None) -> float:
+    """Optimizer time absorbed from workers so far."""
+    if obs is None:
+        return 0.0
+    return SweepStats(obs.metrics).worker_phase_times.get("optimize", 0.0)
+
+
 def _solve_batch_resilient(
-    specs, targets, solve_cache, stats, jobs, obs, resilience, t0
+    specs, targets, solve_cache, jobs, obs, resilience
 ) -> BatchOutcome:
     """The fault-tolerant batch path (any job count).
 
@@ -359,7 +348,9 @@ def _solve_batch_resilient(
             )
             for spec, tgt in zip(specs, targets)
         ]
-    with maybe_span(obs, "batch", specs=len(specs), jobs=jobs):
+    solutions = []
+    failures = []
+    with obs_phase("batch", obs, specs=len(specs), jobs=jobs):
         outcomes = parallel.parallel_map(
             _solve_batch_task,
             [
@@ -371,28 +362,19 @@ def _solve_batch_resilient(
             span_name="batch.solve",
             resilience=resilience,
             keys=keys,
-            stats=stats,
         )
-    solutions = []
-    failures = []
-    for outcome in outcomes:
-        if isinstance(outcome, TaskFailure):
-            failures.append(outcome)
-            solutions.append(None)
-            continue
-        solution, worker_stats = outcome
-        solutions.append(solution)
-        if stats is not None:
-            stats.absorb_worker(worker_stats)
-        if obs is not None:
-            obs.absorb_worker(worker_stats.get("obs"))
-    if solve_cache is not None:
-        solve_cache.refresh()
-        _account_store(solve_cache, stats, obs)
-    if stats is not None:
-        stats.add_phase_time("batch", time.perf_counter() - t0)
-    if obs is not None:
-        obs.observe("phase.batch_s", time.perf_counter() - t0)
+        for outcome in outcomes:
+            if isinstance(outcome, TaskFailure):
+                failures.append(outcome)
+                solutions.append(None)
+                continue
+            solution, worker_obs = outcome
+            solutions.append(solution)
+            if obs is not None:
+                obs.absorb_worker(worker_obs)
+        if solve_cache is not None:
+            solve_cache.refresh()
+            _account_store(solve_cache, obs)
     return BatchOutcome(solutions, failures)
 
 
@@ -488,7 +470,6 @@ def solve_main_memory(
     *,
     eval_cache: EvalCache | None = None,
     solve_cache: SolveCache | None = None,
-    stats: SweepStats | None = None,
     jobs: int | str = 1,
     obs: Obs | None = None,
     resilience: ResiliencePolicy | None = None,
@@ -515,7 +496,6 @@ def solve_main_memory(
             target,
             eval_cache=eval_cache,
             solve_cache=solve_cache,
-            stats=stats,
             obs=obs,
         )
         with maybe_span(obs, "derive_interface"):
@@ -536,10 +516,10 @@ class CactiD:
     designs (subarrays, H-trees, repeated wires) are shared across every
     solve issued through the facade, and -- when ``cache_path`` is given
     -- a persistent :class:`~repro.core.solvecache.SolveCache` so whole
-    repeated solves are served from disk across processes.  ``stats``
-    accumulates sweep observability counters over the facade's
-    lifetime; pass ``obs`` (an :class:`~repro.obs.Obs`) to also record
-    tracing spans and metrics across every solve issued through it.
+    repeated solves are served from disk across processes.  Pass ``obs``
+    (an :class:`~repro.obs.Obs`) to record tracing spans and metrics
+    across every solve issued through the facade; :attr:`stats` then
+    reads its optimizer funnel back.
 
     ``cachedb`` -- a :class:`~repro.cachedb.CacheDB` or an artifact
     path -- puts a precomputed design-space database in front of the
@@ -560,7 +540,6 @@ class CactiD:
         self.solve_cache = (
             SolveCache(cache_path) if cache_path is not None else None
         )
-        self.stats = SweepStats()
         self.obs = obs
         self.resilience = resilience
         if cachedb is not None and not hasattr(cachedb, "lookup_exact"):
@@ -569,6 +548,12 @@ class CactiD:
 
             cachedb = open_cachedb(cachedb)
         self.cachedb = cachedb
+
+    @property
+    def stats(self) -> SweepStats | None:
+        """The optimizer funnel of every solve so far (None without
+        an ``obs``: the facade counts nothing unobserved)."""
+        return SweepStats(self.obs.metrics) if self.obs is not None else None
 
     @cached_property
     def technology(self) -> Technology:
@@ -587,7 +572,6 @@ class CactiD:
             target,
             eval_cache=self.eval_cache,
             solve_cache=self.solve_cache,
-            stats=self.stats,
             obs=self.obs,
             cachedb=self.cachedb,
         )
@@ -604,7 +588,7 @@ class CactiD:
 
         Serial batches reuse the facade's EvalCache; parallel batches
         share the facade's persistent solve cache by path, and every
-        worker's sweep counters land in ``self.stats``.
+        worker's counters land in ``self.obs`` (read via ``self.stats``).
         """
         for spec in specs:
             self._check_node(spec)
@@ -613,7 +597,6 @@ class CactiD:
             target,
             eval_cache=self.eval_cache,
             solve_cache=self.solve_cache,
-            stats=self.stats,
             jobs=jobs,
             obs=self.obs,
             resilience=self.resilience,
@@ -634,7 +617,6 @@ class CactiD:
             clock_period,
             eval_cache=self.eval_cache,
             solve_cache=self.solve_cache,
-            stats=self.stats,
             obs=self.obs,
         )
 

@@ -23,16 +23,14 @@ The sweep has a fast path that changes none of the numbers:
 * an optional persistent :class:`~repro.core.solvecache.SolveCache`
   short-circuits whole repeated solves from disk.
 
-:class:`SweepStats` counts what each layer did so speedups are
-measurable.
+An :class:`~repro.obs.Obs` counts what each layer did so speedups are
+measurable; :class:`SweepStats` reads those counts back as the
+optimizer's funnel.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from repro.array.organization import (
     ArrayMetrics,
@@ -48,7 +46,7 @@ from repro.array.organization import (
 )
 from repro.core.config import OptimizationTarget
 from repro.core.solvecache import account_store as _account_store
-from repro.obs import Obs, maybe_span
+from repro.obs import MetricsRegistry, Obs
 from repro.obs import phase as obs_phase
 from repro.tech.nodes import Technology
 
@@ -57,63 +55,82 @@ class NoFeasibleSolution(RuntimeError):
     """No partitioning tuple could realize the requested array."""
 
 
-@dataclass
-class SweepStats:
-    """Observability counters for one or more optimizer sweeps.
+#: ``SweepStats`` counter attributes and the registry counter each reads.
+_COUNTERS = {
+    "enumerated": "optimizer.enumerated",  # candidate tuples enumerated
+    "prefiltered": "optimizer.prefiltered",  # cut by the structural filter
+    "built": "optimizer.built",  # candidates evaluated
+    "infeasible_at_build": "optimizer.infeasible_at_build",
+    "feasible": "optimizer.feasible",  # designs that reached ranking
+    "subarray_hits": "eval_cache.subarray.hits",
+    "subarray_misses": "eval_cache.subarray.misses",
+    "solve_cache_hits": "solve_cache.hits",  # whole solves from disk
+    "solve_cache_misses": "solve_cache.misses",
+    "store_evictions": "store.evictions",  # LRU-evicted store records
+    "store_flush_writes": "store.flush_writes",  # saves written to disk
+    "retries": "resilience.retries",
+    "pool_rebuilds": "resilience.pool_rebuilds",
+    "timeouts": "resilience.timeouts",
+    "tasks_failed": "resilience.tasks_failed",
+    "workers_absorbed": "workers.absorbed",  # worker payloads merged in
+}
 
-    Accumulates in place: pass the same instance to several solves (as
-    the :class:`~repro.core.cacti.CactiD` facade does) to get totals.
+#: Phases whose summed wall time is the optimizer's own.
+_OPTIMIZER_PHASES = ("optimize", "pareto")
+
+
+class SweepStats:
+    """Read-only view of the optimizer funnel in a metrics registry.
+
+    Every attribute reads one registry instrument (see ``_COUNTERS``;
+    ``phase_times`` sums the ``phase.<name>_s`` histograms and
+    ``worker_phase_times`` their absorbed ``worker.`` versions) without
+    creating missing ones, so the view never changes what the registry
+    reports.  Build it over a run's ``obs.metrics``:
+    ``SweepStats(obs.metrics).summary()`` is the CLI's ``--stats``.
     """
 
-    enumerated: int = 0  #: candidate tuples enumerated
-    prefiltered: int = 0  #: rejected by the cheap structural pre-filter
-    built: int = 0  #: full circuit constructions attempted
-    infeasible_at_build: int = 0  #: rejected by electrical checks at build
-    feasible: int = 0  #: designs that survived to ranking
-    subarray_hits: int = 0  #: subarray designs reused from the eval cache
-    subarray_misses: int = 0
-    htree_hits: int = 0  #: H-tree designs reused from the eval cache
-    htree_misses: int = 0
-    solve_cache_hits: int = 0  #: whole solves served from the disk cache
-    solve_cache_misses: int = 0
-    store_evictions: int = 0  #: records LRU-evicted by a bounded store
-    store_flush_writes: int = 0  #: store saves actually written to disk
-    retries: int = 0  #: task attempts re-run under a resilience policy
-    pool_rebuilds: int = 0  #: worker pools torn down and rebuilt
-    timeouts: int = 0  #: tasks cancelled for exceeding their wall clock
-    tasks_failed: int = 0  #: tasks that failed terminally (skip/retry)
-    wall_time_s: float = 0.0  #: total optimizer wall time
-    worker_time_s: float = 0.0  #: wall time summed across worker processes
-    workers_absorbed: int = 0  #: worker stats payloads merged in
-    phase_times: dict = field(default_factory=dict)  #: named phase timers
-    #: Phase timers absorbed from worker payloads.  Kept separate from
-    #: ``phase_times`` so the parent's phase report stays wall-clock
-    #: true: at jobs=N a batch runs its workers concurrently, and
-    #: summing their per-phase CPU into the parent's timers used to
-    #: report build=1.73 s against 0.66 s of actual wall time.
-    worker_phase_times: dict = field(default_factory=dict)
-    _eval_marks: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("metrics",)
 
-    #: Counter fields summable across worker payloads.
-    _ABSORBABLE = (
-        "enumerated",
-        "prefiltered",
-        "built",
-        "infeasible_at_build",
-        "feasible",
-        "subarray_hits",
-        "subarray_misses",
-        "htree_hits",
-        "htree_misses",
-        "solve_cache_hits",
-        "solve_cache_misses",
-        "store_evictions",
-        "store_flush_writes",
-        "retries",
-        "pool_rebuilds",
-        "timeouts",
-        "tasks_failed",
-    )
+    def __init__(self, metrics: MetricsRegistry):
+        self.metrics = metrics
+
+    def __getattr__(self, name: str) -> int:
+        try:
+            metric = _COUNTERS[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        counter = self.metrics.counters.get(metric)
+        return counter.value if counter is not None else 0
+
+    def _phase_sums(self, prefix: str) -> dict[str, float]:
+        return {
+            name[len(prefix):-len("_s")]: h.total
+            for name, h in self.metrics.histograms.items()
+            if name.startswith(prefix) and name.endswith("_s")
+        }
+
+    @property
+    def phase_times(self) -> dict[str, float]:
+        """Parent wall time per pipeline phase."""
+        return self._phase_sums("phase.")
+
+    @property
+    def worker_phase_times(self) -> dict[str, float]:
+        """Per-phase time absorbed from workers.  Kept apart from
+        ``phase_times`` so the parent's report stays wall-clock true:
+        concurrent workers' phases sum to more than elapsed time."""
+        return self._phase_sums("worker.phase.")
+
+    @property
+    def wall_time_s(self) -> float:
+        times = self.phase_times
+        return sum(times.get(name, 0.0) for name in _OPTIMIZER_PHASES)
+
+    @property
+    def worker_time_s(self) -> float:
+        times = self.worker_phase_times
+        return sum(times.get(name, 0.0) for name in _OPTIMIZER_PHASES)
 
     @property
     def prefilter_rate(self) -> float:
@@ -124,38 +141,15 @@ class SweepStats:
         total = self.subarray_hits + self.subarray_misses
         return self.subarray_hits / total if total else 0.0
 
-    @property
-    def htree_hit_rate(self) -> float:
-        total = self.htree_hits + self.htree_misses
-        return self.htree_hits / total if total else 0.0
-
     def as_dict(self) -> dict:
         return {
-            "enumerated": self.enumerated,
-            "prefiltered": self.prefiltered,
-            "built": self.built,
-            "infeasible_at_build": self.infeasible_at_build,
-            "feasible": self.feasible,
-            "subarray_hits": self.subarray_hits,
-            "subarray_misses": self.subarray_misses,
-            "htree_hits": self.htree_hits,
-            "htree_misses": self.htree_misses,
-            "solve_cache_hits": self.solve_cache_hits,
-            "solve_cache_misses": self.solve_cache_misses,
-            "store_evictions": self.store_evictions,
-            "store_flush_writes": self.store_flush_writes,
-            "retries": self.retries,
-            "pool_rebuilds": self.pool_rebuilds,
-            "timeouts": self.timeouts,
-            "tasks_failed": self.tasks_failed,
+            **{name: getattr(self, name) for name in _COUNTERS},
             "prefilter_rate": self.prefilter_rate,
             "subarray_hit_rate": self.subarray_hit_rate,
-            "htree_hit_rate": self.htree_hit_rate,
             "wall_time_s": self.wall_time_s,
             "worker_time_s": self.worker_time_s,
-            "workers_absorbed": self.workers_absorbed,
-            "phase_times": dict(self.phase_times),
-            "worker_phase_times": dict(self.worker_phase_times),
+            "phase_times": self.phase_times,
+            "worker_phase_times": self.worker_phase_times,
         }
 
     def summary(self) -> str:
@@ -170,9 +164,6 @@ class SweepStats:
             f"subarray cache        : {self.subarray_hits} hits / "
             f"{self.subarray_misses} misses "
             f"({self.subarray_hit_rate * 100:.1f}%)",
-            f"h-tree cache          : {self.htree_hits} hits / "
-            f"{self.htree_misses} misses "
-            f"({self.htree_hit_rate * 100:.1f}%)",
             f"solve cache           : {self.solve_cache_hits} hits / "
             f"{self.solve_cache_misses} misses",
             f"wall time             : {self.wall_time_s * 1e3:.1f} ms",
@@ -203,94 +194,18 @@ class SweepStats:
             )
         return "\n".join(lines)
 
-    # ------------------------------------------------------------------ #
 
-    def add_phase_time(self, name: str, seconds: float) -> None:
-        """Accumulate wall time into the named phase timer."""
-        self.phase_times[name] = self.phase_times.get(name, 0.0) + seconds
-
-    def add_worker_phase_time(self, name: str, seconds: float) -> None:
-        """Accumulate worker CPU time into the named worker phase timer."""
-        self.worker_phase_times[name] = (
-            self.worker_phase_times.get(name, 0.0) + seconds
-        )
-
-    @contextmanager
-    def phase(self, name: str):
-        """Context manager timing one phase of a sweep by wall clock."""
-        t0 = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.add_phase_time(name, time.perf_counter() - t0)
-
-    def absorb_worker(self, payload: dict) -> None:
-        """Merge a stats payload shipped back from a worker process.
-
-        Accepts either a counter-delta dict or a full ``as_dict()``
-        snapshot of a worker-side SweepStats (from batch solves).
-        Unknown keys -- derived rates, pids -- are ignored; worker wall
-        time lands in ``worker_time_s``, never ``wall_time_s``, and
-        worker phase timers land in ``worker_phase_times``, never
-        ``phase_times``, so the parent's own wall-clock measurements
-        stay meaningful (concurrent workers sum to more CPU than wall
-        time).
-        """
-        for name in self._ABSORBABLE:
-            value = payload.get(name, 0)
-            if value:
-                setattr(self, name, getattr(self, name) + value)
-        self.worker_time_s += payload.get(
-            "worker_wall_time_s", payload.get("wall_time_s", 0.0)
-        )
-        self.worker_time_s += payload.get("worker_time_s", 0.0)
-        for name, seconds in (payload.get("phase_times") or {}).items():
-            self.add_worker_phase_time(name, seconds)
-        # A worker that itself absorbed sub-workers forwards their
-        # phase CPU under this key; it stays worker-side here too.
-        for name, seconds in (
-            payload.get("worker_phase_times") or {}
-        ).items():
-            self.add_worker_phase_time(name, seconds)
-        self.workers_absorbed += 1 + payload.get("workers_absorbed", 0)
-
-    def _mark_eval_cache(self, cache: EvalCache) -> None:
-        """Remember the cache's counters so deltas can be accumulated."""
-        self._eval_marks[id(cache)] = (
-            cache.subarray_hits,
-            cache.subarray_misses,
-            cache.htree_hits,
-            cache.htree_misses,
-        )
-
-    def _absorb_eval_cache(self, cache: EvalCache) -> None:
-        """Add the cache's counter deltas since the matching mark."""
-        sh0, sm0, hh0, hm0 = self._eval_marks.pop(id(cache), (0, 0, 0, 0))
-        self.subarray_hits += cache.subarray_hits - sh0
-        self.subarray_misses += cache.subarray_misses - sm0
-        self.htree_hits += cache.htree_hits - hh0
-        self.htree_misses += cache.htree_misses - hm0
-
-
-def _eval_cache_counts(cache: EvalCache) -> tuple[int, int, int, int]:
-    return (
-        cache.subarray_hits,
-        cache.subarray_misses,
-        cache.htree_hits,
-        cache.htree_misses,
-    )
+def _eval_cache_counts(cache: EvalCache) -> tuple[int, int]:
+    return cache.subarray_hits, cache.subarray_misses
 
 
 _EVAL_CACHE_METRICS = (
     "eval_cache.subarray.hits",
     "eval_cache.subarray.misses",
-    "eval_cache.htree.hits",
-    "eval_cache.htree.misses",
 )
 
 
 def _account(
-    stats: SweepStats | None,
     obs: Obs | None,
     cache: EvalCache | None,
     eval_before: tuple | None,
@@ -298,20 +213,14 @@ def _account(
 ) -> None:
     """Record one sweep's candidate counts and eval-cache deltas.
 
-    ``counts`` are :class:`SweepStats` counter names, mirrored into
-    ``obs`` as ``optimizer.<name>``; the cache deltas are taken against
-    ``eval_before`` (and the mark ``stats`` holds for ``cache``).
+    ``counts`` land in ``obs`` as ``optimizer.<name>``; the cache
+    deltas are taken against ``eval_before``.
     """
-    for name, n in counts.items():
-        if stats is not None:
-            setattr(stats, name, getattr(stats, name) + n)
-        if obs is not None:
-            obs.inc(f"optimizer.{name}", n)
-    if cache is None:
+    if obs is None:
         return
-    if stats is not None:
-        stats._absorb_eval_cache(cache)
-    if obs is not None:
+    for name, n in counts.items():
+        obs.inc(f"optimizer.{name}", n)
+    if cache is not None:
         now = _eval_cache_counts(cache)
         for name, after, before in zip(_EVAL_CACHE_METRICS, now, eval_before):
             obs.inc(name, after - before)
@@ -330,7 +239,6 @@ def feasible_designs(
     orgs: Iterable | None = None,
     *,
     cache: EvalCache | None = None,
-    stats: SweepStats | None = None,
     prefilter: bool = True,
     obs: Obs | None = None,
 ) -> list[ArrayMetrics]:
@@ -352,10 +260,8 @@ def feasible_designs(
     spans and candidate/cache metrics.  None of them affects the
     returned metrics.
     """
-    if stats is not None and cache is not None:
-        stats._mark_eval_cache(cache)
     eval_before = _eval_cache_counts(cache) if cache is not None else None
-    with obs_phase("prefilter", obs, stats):
+    with obs_phase("prefilter", obs):
         if orgs is None and prefilter:
             enumerated = org_grid_size(spec)
             candidates = prefilter_grid(spec)
@@ -372,7 +278,7 @@ def feasible_designs(
                 candidates = [(org, None) for org in orgs]
     designs = []
     infeasible = 0
-    with obs_phase("build", obs, stats, candidates=len(candidates)):
+    with obs_phase("build", obs, candidates=len(candidates)):
         for org, geometry in candidates:
             try:
                 designs.append(
@@ -383,7 +289,7 @@ def feasible_designs(
             except (InfeasibleOrganization, InfeasibleSubarray):
                 infeasible += 1
     _account(
-        stats, obs, cache, eval_before,
+        obs, cache, eval_before,
         enumerated=enumerated,
         prefiltered=enumerated - len(candidates),
         built=len(candidates),
@@ -490,7 +396,6 @@ def _ranked_designs(
     target: OptimizationTarget,
     *,
     eval_cache: EvalCache,
-    stats: SweepStats | None,
     obs: Obs | None,
     limit: int | None = None,
 ) -> list[ArrayMetrics]:
@@ -503,26 +408,22 @@ def _ranked_designs(
     batch and constructs full :class:`ArrayMetrics` objects only for
     the top ``limit`` ranked candidates (all of them when ``limit`` is
     None).  Counter accounting matches the scalar
-    :func:`feasible_designs`: eval-cache deltas are absorbed *before*
+    :func:`feasible_designs`: eval-cache deltas are taken *before*
     winner materialization, so ``subarray_hits + subarray_misses ==
-    built`` holds; H-tree cache counters advance only for the
-    materialized winners (the batch replaces per-candidate tree objects
-    with closed-form arithmetic).
+    built`` holds.
     """
     # The kernels (and numpy) load on the first live solve, so solve-
     # store and cachedb hits never pay for them.
     from repro.array import kernels
 
-    with obs_phase("prefilter", obs, stats):
+    with obs_phase("prefilter", obs):
         batch = kernels.survivor_batch(spec)
-    if stats is not None:
-        stats._mark_eval_cache(eval_cache)
     eval_before = _eval_cache_counts(eval_cache)
-    with obs_phase("build", obs, stats, candidates=batch.size):
+    with obs_phase("build", obs, candidates=batch.size):
         ev = kernels.evaluate_batch(tech, spec, batch, eval_cache)
     grid = org_grid_size(spec)
     _account(
-        stats, obs, eval_cache, eval_before,
+        obs, eval_cache, eval_before,
         enumerated=grid,
         prefiltered=grid - batch.size,
         built=batch.size,
@@ -531,7 +432,7 @@ def _ranked_designs(
     )
     if ev.size == 0:
         raise _no_feasible(spec)
-    with obs_phase("rank", obs, stats, designs=ev.size):
+    with obs_phase("rank", obs, designs=ev.size):
         order = kernels.rank_batch(ev, target)
         if limit is not None:
             order = order[:limit]
@@ -553,7 +454,6 @@ def optimize(
     *,
     eval_cache: EvalCache | None = None,
     solve_cache=None,
-    stats: SweepStats | None = None,
     obs: Obs | None = None,
 ) -> ArrayMetrics:
     """Full pipeline: enumerate, filter, rank; return the best design.
@@ -561,19 +461,18 @@ def optimize(
     ``eval_cache`` shares circuit designs across candidates (a fresh one
     is created per call when omitted); ``solve_cache`` is an optional
     :class:`~repro.core.solvecache.SolveCache` consulted before -- and
-    flushed after -- the sweep; ``stats`` accumulates
-    :class:`SweepStats` counters in place; ``obs`` records an
-    ``optimize`` span with nested prefilter/build/rank children plus
-    cache-hit metrics.  None of them changes any returned number.
+    flushed after -- the sweep; ``obs`` records an ``optimize`` phase
+    with nested prefilter/build/rank children plus the funnel and
+    cache-hit counters (read them back through :class:`SweepStats`).
+    None of them changes any returned number.
 
     Candidates are evaluated in-process by the vectorized kernels
     (:mod:`repro.array.kernels`), bit-identical to building each one
     through :func:`feasible_designs`.
     """
-    t0 = time.perf_counter()
-    with maybe_span(
-        obs,
+    with obs_phase(
         "optimize",
+        obs,
         capacity_bits=spec.capacity_bits,
         cell_tech=spec.cell_tech.value,
         node_nm=tech.node_nm,
@@ -587,25 +486,18 @@ def optimize(
                 obs.metrics.counter("solve_cache.misses")
             hit = solve_cache.get(spec, target, tech.node_nm)
             if hit is not None:
-                if stats is not None:
-                    stats.solve_cache_hits += 1
-                    stats.wall_time_s += time.perf_counter() - t0
                 if obs is not None:
                     obs.inc("solve_cache.hits")
-                if span is not None:
                     span.attrs["solve_cache"] = "hit"
-                _account_store(solve_cache, stats, obs)
+                _account_store(solve_cache, obs)
                 return hit
-            if stats is not None:
-                stats.solve_cache_misses += 1
             if obs is not None:
                 obs.inc("solve_cache.misses")
         if eval_cache is None:
             eval_cache = EvalCache()
         swept = _with_repeater_penalty(spec, target)
         best = _ranked_designs(
-            tech, swept, target, eval_cache=eval_cache, stats=stats,
-            obs=obs, limit=1,
+            tech, swept, target, eval_cache=eval_cache, obs=obs, limit=1
         )[0]
         if solve_cache is not None:
             solve_cache.put(spec, target, tech.node_nm, best)
@@ -614,9 +506,7 @@ def optimize(
             solve_cache.flush()
             if obs is not None:
                 obs.gauge("solve_cache.records", len(solve_cache))
-            _account_store(solve_cache, stats, obs)
-        if stats is not None:
-            stats.wall_time_s += time.perf_counter() - t0
+            _account_store(solve_cache, obs)
         return best
 
 
@@ -626,15 +516,13 @@ def pareto_solutions(
     target: OptimizationTarget,
     *,
     eval_cache: EvalCache | None = None,
-    stats: SweepStats | None = None,
     obs: Obs | None = None,
 ) -> list[ArrayMetrics]:
     """All constraint-satisfying designs, ranked -- the solution cloud the
     paper plots in its Figure 1 validation bubbles."""
-    t0 = time.perf_counter()
-    with maybe_span(
-        obs,
+    with obs_phase(
         "pareto",
+        obs,
         capacity_bits=spec.capacity_bits,
         cell_tech=spec.cell_tech.value,
         node_nm=tech.node_nm,
@@ -642,12 +530,9 @@ def pareto_solutions(
         if eval_cache is None:
             eval_cache = EvalCache()
         spec = _with_repeater_penalty(spec, target)
-        ranked = _ranked_designs(
-            tech, spec, target, eval_cache=eval_cache, stats=stats, obs=obs
+        return _ranked_designs(
+            tech, spec, target, eval_cache=eval_cache, obs=obs
         )
-        if stats is not None:
-            stats.wall_time_s += time.perf_counter() - t0
-        return ranked
 
 
 def _with_repeater_penalty(

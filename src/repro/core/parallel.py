@@ -16,9 +16,9 @@ completion order, and worker-local eval caches cannot change numbers:
 cached and uncached construction produce the same frozen objects
 performing the same computations.
 
-Workers ship their counters home as plain dicts (picklable, no shared
-state), which the parent absorbs into its
-:class:`~repro.core.optimizer.SweepStats` via ``absorb_worker``.
+Workers ship their spans and counters home as an
+:meth:`~repro.obs.Obs.export_payload` (picklable, no shared state),
+which the parent stitches in with :meth:`~repro.obs.Obs.absorb_worker`.
 ``jobs=1`` everywhere falls back to the plain serial path with no
 executor, no forks, and no pickling.
 
@@ -165,7 +165,6 @@ def parallel_map(
     span_name: str | None = None,
     resilience: ResiliencePolicy | None = None,
     keys: Sequence[str] | None = None,
-    stats=None,
 ) -> list:
     """Order-preserving map over worker processes.
 
@@ -188,8 +187,8 @@ def parallel_map(
     carries a journal and ``keys`` names each task -- checkpointed
     results restored without re-execution.  Failed slots hold
     :class:`~repro.core.resilience.TaskFailure` records in skip/retry
-    mode.  ``stats`` (a SweepStats) and ``obs`` account ``retries``,
-    ``timeouts``, ``tasks_failed``, and ``pool_rebuilds``.
+    mode.  ``obs`` counts ``resilience.retries``, ``.timeouts``,
+    ``.tasks_failed``, ``.pool_rebuilds`` and ``.journal_restored``.
     """
     payloads = list(payloads)
     if resilience is not None:
@@ -201,7 +200,6 @@ def parallel_map(
             keys=keys,
             stage=span_name or "parallel_map",
             obs=obs,
-            stats=stats,
         ).run()
     jobs = min(resolve_jobs(jobs), len(payloads))
     if jobs <= 1:
@@ -245,7 +243,7 @@ class _ResilientMap:
     """One fault-tolerant map execution (see :func:`parallel_map`)."""
 
     def __init__(
-        self, fn, payloads, jobs, policy, *, keys, stage, obs, stats
+        self, fn, payloads, jobs, policy, *, keys, stage, obs
     ):
         if policy.journal is not None and keys is None:
             raise ValueError(
@@ -261,7 +259,6 @@ class _ResilientMap:
         self.keys = keys
         self.stage = stage
         self.obs = obs
-        self.stats = stats
         self.results: list = [None] * len(payloads)
         self.todo = self._restore_from_journal()
         self.jobs = min(resolve_jobs(jobs), max(1, len(self.todo)))
@@ -269,8 +266,6 @@ class _ResilientMap:
     # -- accounting ---------------------------------------------------- #
 
     def _count(self, what: str, n: int = 1) -> None:
-        if self.stats is not None:
-            setattr(self.stats, what, getattr(self.stats, what) + n)
         if self.obs is not None:
             self.obs.inc(f"resilience.{what}", n)
 

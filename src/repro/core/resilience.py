@@ -25,10 +25,9 @@ the resilience layer the parallel engine
   succeeds deterministically.
 
 Failed tasks never poison the pool: the engine captures the exception,
-applies the policy, and accounts ``retries`` / ``timeouts`` /
-``tasks_failed`` / ``pool_rebuilds`` into
-:class:`~repro.core.optimizer.SweepStats` and the ``resilience.*``
-metrics of an :class:`~repro.obs.Obs`.
+applies the policy, and counts ``retries`` / ``timeouts`` /
+``tasks_failed`` / ``pool_rebuilds`` into the ``resilience.*`` metrics
+of an :class:`~repro.obs.Obs`.
 """
 
 from __future__ import annotations

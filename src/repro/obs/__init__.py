@@ -15,16 +15,21 @@ counts events around existing work, and never changes a solved number.
 The golden-equivalence suite asserts bit-identical metrics with tracing
 on and off at every job count.
 
+The metrics registry is the pipeline's only ledger: every event is
+counted once, here.  :class:`~repro.core.optimizer.SweepStats` (the
+CLI's ``--stats`` report) is a read-only view over it.
+
 Worker processes record spans and metrics into their own ``Obs`` and
-ship ``export_payload()`` home inside the stats payload dicts the
-parallel engine already returns; the parent stitches them into its
-trace with the worker's pid at the correct time offset (the same
-ship-counters-home pattern as ``SweepStats.absorb_worker``).
+ship ``export_payload()`` home as their task result's second element;
+the parent's :meth:`Obs.absorb_worker` stitches the spans into its
+trace with the worker's pid at the correct time offset, adds the
+worker's counters under their own names, and files its histograms
+under a ``worker.`` prefix so the parent's ``phase.*`` timers stay
+wall-clock true.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -79,11 +84,27 @@ class Obs:
         }
 
     def absorb_worker(self, payload: dict | None) -> None:
-        """Stitch a worker's ``export_payload()`` into this Obs."""
+        """Stitch a worker's ``export_payload()`` into this Obs.
+
+        Counters and gauges keep their names (work counts add up the
+        same whoever did the work).  Histograms land under a
+        ``worker.`` prefix -- once: a mid-level worker's already
+        prefixed ones forward unchanged -- because concurrent workers'
+        phase times sum to more than the parent's wall clock.  Each
+        payload counts one ``workers.absorbed``.
+        """
         if not payload:
             return
         self.tracer.absorb_payload(payload.get("trace"))
-        self.metrics.absorb(payload.get("metrics"))
+        metrics = payload.get("metrics") or {}
+        self.metrics.absorb({
+            **metrics,
+            "histograms": {
+                name if name.startswith("worker.") else f"worker.{name}": h
+                for name, h in (metrics.get("histograms") or {}).items()
+            },
+        })
+        self.inc("workers.absorbed")
 
 
 @contextmanager
@@ -97,35 +118,18 @@ def maybe_span(obs: Obs | None, name: str, **attrs):
 
 
 @contextmanager
-def phase(name: str, obs: Obs | None = None, stats=None, **attrs):
-    """Time one pipeline phase into every sink that wants it.
+def phase(name: str, obs: Obs | None = None, **attrs):
+    """Time one pipeline phase: a tracer span plus a ``phase.<name>_s``
+    latency histogram, from one clock reading.
 
-    One wall-clock measurement feeds the tracer span, a
-    ``phase.<name>_s`` latency histogram, and the ``SweepStats`` phase
-    timer -- ``SweepStats.phase_times`` stays populated as a thin view
-    of the same numbers the trace records.  With neither sink present
-    the clock is never read.
+    With no ``obs`` the clock is never read.
     """
-    if obs is None and stats is None:
+    if obs is None:
         yield None
         return
-    if obs is not None:
+    try:
         with obs.span(name, **attrs) as span:
-            try:
-                yield span
-            finally:
-                # duration_s is only final once the span closes; read
-                # the clock against the span's own start instead of
-                # timing twice.
-                seconds = (
-                    time.perf_counter() - obs.tracer._epoch - span.start_s
-                )
-                obs.observe(f"phase.{name}_s", seconds)
-                if stats is not None:
-                    stats.add_phase_time(name, seconds)
-    else:
-        t0 = time.perf_counter()
-        try:
-            yield None
-        finally:
-            stats.add_phase_time(name, time.perf_counter() - t0)
+            yield span
+    finally:
+        # The span's closing clock read is the histogram's sample too.
+        obs.observe(f"phase.{name}_s", span.duration_s)

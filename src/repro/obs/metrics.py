@@ -16,7 +16,7 @@ Conventions:
 * **Histograms** are streaming distributions keeping count / sum / min /
   max (per-phase latency distributions, per-chunk build times).
 
-Registries merge: workers snapshot theirs into the stats payloads the
+Registries merge: workers snapshot theirs into the payloads the
 parallel engine ships home, and the parent :meth:`MetricsRegistry.
 absorb`s them -- counters and histograms add, gauges keep the last
 write.

@@ -18,7 +18,7 @@ Two export formats:
 
 Worker processes cannot share a tracer object, so they record spans into
 their *own* tracer and ship :meth:`Tracer.export_payload` home inside
-the stats payload dicts the parallel engine already returns.  The parent
+the ``Obs`` payload each worker task returns.  The parent
 calls :meth:`Tracer.absorb_payload`, which re-bases the worker's span
 timestamps onto the parent's clock (via the wall-clock epochs both sides
 record) while keeping the worker's pid, so the merged trace shows each

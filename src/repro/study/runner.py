@@ -124,7 +124,7 @@ def run_one(
             config_name, source=source, scale=scale, cachedb=cachedb
         )
     scaled_profile = profile.scaled(scale)
-    stats = run_workload(
+    sim_stats = run_workload(
         config,
         partial(
             event_stream,
@@ -133,12 +133,12 @@ def run_one(
             seed=seed,
         ),
     )
-    duration = stats.cycles / CPU_HZ
+    duration = sim_stats.cycles / CPU_HZ
     if energy_model is None:
         energy_model = build_energy_model(
             config_name, source=source, cachedb=cachedb
         )
-    breakdown = hierarchy_power(energy_model, stats, duration)
+    breakdown = hierarchy_power(energy_model, sim_stats, duration)
     system = SystemPower(
         core=scaled_core_power(),
         memory_hierarchy=breakdown,
@@ -147,7 +147,7 @@ def run_one(
     return RunResult(
         app=profile.name,
         config=config_name,
-        stats=stats,
+        stats=sim_stats,
         power=breakdown,
         system=system,
     )
@@ -209,7 +209,6 @@ def run_study(
     jobs: int | str = 1,
     obs: Obs | None = None,
     resilience: ResiliencePolicy | None = None,
-    stats=None,
     cachedb=None,
 ) -> StudyResult:
     """Run the full study matrix.
@@ -220,15 +219,15 @@ def run_study(
     app x config cells concurrently in worker processes; every cell's
     simulation is seeded, so the matrix is identical at any job count.
     ``obs`` traces the matrix (one ``study.cell`` span per cell when
-    serial, one enclosing span when parallel) and counts cells run.
+    serial, one enclosing span when parallel), counts cells run, and
+    counts the resilience engine's retries, timeouts, failures and
+    rebuilds under ``resilience.*``.
 
     ``resilience`` makes the matrix fault tolerant: failed cells are
     retried/skipped/raised per the policy, a journal checkpoints each
     completed cell so an interrupted matrix resumed against the same
     journal re-runs only the unfinished cells, and terminal failures
     land in ``StudyResult.failed`` instead of aborting the run.
-    ``stats`` (a :class:`~repro.core.optimizer.SweepStats`) accumulates
-    the resilience counters (retries, timeouts, failures, rebuilds).
     ``cachedb`` (an artifact path) serves each worker's
     ``source="cacti"`` solves from the precomputed database.
 
@@ -287,7 +286,6 @@ def run_study(
             span_name="study.cell",
             resilience=resilience,
             keys=keys,
-            stats=stats,
         )
     if obs is not None:
         obs.inc("study.cells", len(payloads))

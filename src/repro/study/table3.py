@@ -140,7 +140,7 @@ def _cache_row(name: str, solution, nbanks: int) -> Table3Row:
 
 
 #: Memo of knob-free row solves (the lru_cache equivalent).  Knobbed
-#: calls bypass it: a caller passing ``stats``/``obs``/``solve_cache``
+#: calls bypass it: a caller passing ``obs``/``solve_cache``
 #: expects a live solve feeding those sinks, not a silent memo hit --
 #: and a memoized knobbed result would leak one caller's cache handle
 #: into the next caller's run.
@@ -248,7 +248,7 @@ def _main_row(**knobs) -> Table3Row:
 def solve_table3(**knobs) -> dict[str, Table3Row]:
     """All Table 3 columns from the live CACTI-D model.
 
-    Keyword knobs (``solve_cache``, ``stats``, ``jobs``, ``obs``,
+    Keyword knobs (``solve_cache``, ``jobs``, ``obs``,
     ``resilience``, ``cachedb``) pass through to every underlying cache
     solve (``cachedb`` stops before the main-memory chip, whose
     interface derivation the grid does not cover); knob-free calls are

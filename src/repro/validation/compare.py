@@ -85,7 +85,6 @@ def validate_ddr3(
     target: Ddr3Target | None = None,
     *,
     solve_cache=None,
-    stats=None,
     jobs: int = 1,
     obs=None,
 ) -> Ddr3Validation:
@@ -93,7 +92,7 @@ def validate_ddr3(
 
     ``target`` defaults to the module's ``DDR3_TARGET`` resolved at call
     time (not bound at definition).  The keyword knobs (persistent
-    ``solve_cache``, ``stats`` accumulator, ``obs`` tracer) pass
+    ``solve_cache``, ``obs`` tracer and metrics) pass
     straight through to :func:`~repro.core.cacti.solve_main_memory`, so
     the validation run is observable and cacheable exactly like any
     other solve.  ``jobs`` is accepted and ignored: the single chip
@@ -112,7 +111,6 @@ def validate_ddr3(
         spec,
         node_nm=target.node_nm,
         solve_cache=solve_cache,
-        stats=stats,
         obs=obs,
     )
     errors = {

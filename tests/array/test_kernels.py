@@ -29,6 +29,7 @@ from repro.core.optimizer import (
     optimize,
     rank,
 )
+from repro.obs import Obs
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
 from repro.tech.registry import registered_names
@@ -113,9 +114,10 @@ class TestKernelScalarEquivalence:
     def test_feasibility_counts_match_scalar_sweep(self, name):
         for spec in specs_for(name):
             ev = evaluated(spec)
-            stats = SweepStats()
+            obs = Obs()
+            stats = SweepStats(obs.metrics)
             designs = feasible_designs(
-                TECH, spec, cache=EvalCache(), stats=stats
+                TECH, spec, cache=EvalCache(), obs=obs
             )
             assert stats.feasible == ev.size
             assert stats.infeasible_at_build == ev.n_infeasible
@@ -144,8 +146,9 @@ class TestKernelScalarEquivalence:
 class TestStatsInvariantsOnKernelPath:
     def test_counters_balance_through_optimize(self):
         spec = specs_for("sram")[0]
-        stats = SweepStats()
-        optimize(TECH, spec, OptimizationTarget(), stats=stats)
+        obs = Obs()
+        stats = SweepStats(obs.metrics)
+        optimize(TECH, spec, OptimizationTarget(), obs=obs)
         assert stats.enumerated == stats.prefiltered + stats.built
         assert stats.built == stats.feasible + stats.infeasible_at_build
         assert stats.subarray_hits + stats.subarray_misses == stats.built

@@ -149,6 +149,34 @@ class TestObservabilityFlags:
         assert snap["counters"]["optimizer.feasible"] > 0
         assert "eval_cache.subarray.hit_rate" in snap["derived"]
 
+    def test_stats_and_metrics_read_one_source(self, tmp_path, capsys):
+        """--stats prints the very counters --metrics writes."""
+        import json
+
+        metrics = tmp_path / "m.json"
+        rc = main(["cache", "--capacity", "64K", "--stats",
+                   "--metrics", str(metrics)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        printed = {}
+        for line in out.splitlines():
+            label, sep, rest = line.partition(" : ")
+            if sep:
+                printed[label.strip()] = rest
+        counters = json.loads(metrics.read_text())["counters"]
+        for label, name in (
+            ("candidates enumerated", "optimizer.enumerated"),
+            ("pre-filtered (cheap)", "optimizer.prefiltered"),
+            ("built", "optimizer.built"),
+            ("infeasible at build", "optimizer.infeasible_at_build"),
+            ("feasible designs", "optimizer.feasible"),
+        ):
+            assert int(printed[label].split()[0]) == counters[name], label
+        hits, _, rest = printed["subarray cache"].partition(" hits / ")
+        assert int(hits) == counters["eval_cache.subarray.hits"]
+        assert int(rest.split()[0]) == counters["eval_cache.subarray.misses"]
+        assert counters["optimizer.enumerated"] > 0
+
     def test_metrics_report_solve_cache_hit_rate(self, tmp_path, capsys):
         import json
 
@@ -186,7 +214,6 @@ class TestObservabilityFlags:
         import json
 
         import repro.study.table3 as table3_module
-        from repro.core.optimizer import SweepStats
         from repro.core.solvecache import SolveCache
         from repro.obs import Obs
 
@@ -207,7 +234,8 @@ class TestObservabilityFlags:
             "--trace", str(trace), "--metrics", str(metrics),
         ])
         assert rc == 0
-        assert isinstance(seen["stats"], SweepStats)
+        # --stats reads the same Obs that --trace/--metrics write.
+        assert "stats" not in seen
         assert isinstance(seen["solve_cache"], SolveCache)
         assert isinstance(seen["obs"], Obs)
         assert seen["jobs"] == 2

@@ -267,13 +267,14 @@ def test_tracing_is_numerically_invisible(spec, node, target):
 
 
 def test_tracing_is_invisible_in_process():
-    """Trace on/off: same numbers, with the stats sink attached too."""
+    """Trace on/off: same numbers, with the stats view read too."""
     spec, target = sram_spec(), OptimizationTarget()
     tech = technology(32.0)
     plain = optimize(tech, spec, target)
     obs = Obs()
-    traced = optimize(tech, spec, target, stats=SweepStats(), obs=obs)
+    traced = optimize(tech, spec, target, obs=obs)
     assert_metrics_identical(plain, traced)
+    assert SweepStats(obs.metrics).feasible > 0
 
 
 def golden_triad_batch() -> tuple[list, list]:
@@ -323,12 +324,13 @@ def test_faulted_retry_batch_is_bit_identical():
         FaultSpec("batch.solve", 0, "raise", trips=1),
         FaultSpec("batch.solve", 2, "kill", trips=1),
     ))
-    stats = SweepStats()
+    obs = Obs()
+    stats = SweepStats(obs.metrics)
     policy = ResiliencePolicy(
         on_error="retry", max_retries=2, backoff_s=0.01, fault_plan=plan
     )
     faulted = solve_batch(
-        specs, targets, jobs=2, stats=stats, resilience=policy
+        specs, targets, jobs=2, obs=obs, resilience=policy
     )
     assert not faulted.failed
     # ArrayMetrics equality is field-for-field float ==, i.e. bit-identity.
@@ -341,7 +343,7 @@ def test_faulted_retry_batch_is_bit_identical():
 
 
 def test_every_sink_together_is_invisible(tmp_path):
-    """obs + stats + solve cache all at once, still golden."""
+    """obs + solve cache all at once, still golden."""
     spec, target = sram_spec(), OptimizationTarget()
     tech = technology(32.0)
     direct = optimize(tech, spec, target)
@@ -350,7 +352,6 @@ def test_every_sink_together_is_invisible(tmp_path):
         spec,
         target,
         solve_cache=SolveCache(tmp_path / "solves.json"),
-        stats=SweepStats(),
         obs=Obs(),
     )
     assert_metrics_identical(direct, kitchen_sink)

@@ -11,6 +11,7 @@ from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import SweepStats, feasible_designs
 from repro.core.parallel import parallel_map, resolve_jobs
 from repro.core.solvecache import SolveCache
+from repro.obs import Obs
 from repro.study.sensitivity import capacity_sweep, sweep
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
@@ -106,20 +107,24 @@ class TestSolveBatch:
 
     def test_workers_share_persistent_cache(self, tmp_path):
         cache = SolveCache(tmp_path / "solves.json")
-        stats = SweepStats()
-        solve_batch(BATCH, solve_cache=cache, stats=stats, jobs=2)
+        obs = Obs()
+        stats = SweepStats(obs.metrics)
+        solve_batch(BATCH, solve_cache=cache, obs=obs, jobs=2)
         # Each cache spec contributes a data and a tag array record,
         # written by the workers and visible to the parent after merge.
         assert len(cache) == 2 * len(BATCH)
         assert stats.workers_absorbed == len(BATCH)
         # A second batch is served from disk inside the workers.
-        again = SweepStats()
-        solve_batch(BATCH, solve_cache=cache, stats=again, jobs=2)
+        again_obs = Obs()
+        again = SweepStats(again_obs.metrics)
+        solve_batch(BATCH, solve_cache=cache, obs=again_obs, jobs=2)
         assert again.solve_cache_hits == 2 * len(BATCH)
         assert again.built == 0
 
     def test_facade_batch(self, tmp_path):
-        tool = CactiD(node_nm=32.0, cache_path=tmp_path / "c.json")
+        tool = CactiD(
+            node_nm=32.0, cache_path=tmp_path / "c.json", obs=Obs()
+        )
         batch = tool.solve_batch(BATCH, jobs=2)
         assert [s.spec for s in batch] == BATCH
         assert tool.stats.workers_absorbed == len(BATCH)
@@ -135,8 +140,9 @@ class TestParallelSensitivity:
     BASE = MemorySpec(capacity_bytes=256 << 10)
 
     def test_shared_eval_cache_reuses_designs_across_points(self):
-        stats = SweepStats()
-        capacity_sweep(self.BASE, factors=(1, 2, 4), stats=stats)
+        obs = Obs()
+        stats = SweepStats(obs.metrics)
+        capacity_sweep(self.BASE, factors=(1, 2, 4), obs=obs)
         # Neighboring points share subarray problems; the reuse must be
         # visible in the sweep stats.  (H-tree reuse is only observable
         # on the scalar path: the vectorized kernels fold tree delay
@@ -145,17 +151,17 @@ class TestParallelSensitivity:
         assert stats.subarray_hits > 0
 
     def test_shared_eval_cache_reuses_htrees_on_scalar_path(self):
-        cache, stats = EvalCache(), SweepStats()
+        cache, obs = EvalCache(), Obs()
         tech = technology(self.BASE.node_nm)
         for factor in (1, 2, 4):
             spec = replace(
                 self.BASE, capacity_bytes=self.BASE.capacity_bytes * factor
             )
             feasible_designs(
-                tech, data_array_spec(spec), cache=cache, stats=stats
+                tech, data_array_spec(spec), cache=cache, obs=obs
             )
-        assert stats.subarray_hits > 0
-        assert stats.htree_hits > 0
+        assert SweepStats(obs.metrics).subarray_hits > 0
+        assert cache.htree_hits > 0
 
     def test_parallel_sweep_matches_serial(self):
         serial = capacity_sweep(self.BASE, factors=(1, 2, 4))
@@ -176,7 +182,8 @@ class TestParallelSensitivity:
         assert result.points[0].solution is not None
 
     def test_parallel_sweep_absorbs_worker_stats(self):
-        stats = SweepStats()
-        capacity_sweep(self.BASE, factors=(1, 2), stats=stats, jobs=2)
+        obs = Obs()
+        stats = SweepStats(obs.metrics)
+        capacity_sweep(self.BASE, factors=(1, 2), obs=obs, jobs=2)
         assert stats.workers_absorbed == 2
         assert stats.feasible > 0

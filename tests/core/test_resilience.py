@@ -23,6 +23,7 @@ from repro.core.resilience import (
     TaskFailure,
     task_key,
 )
+from repro.obs import Obs
 
 # Module-level task functions: picklable for worker processes, and the
 # in-process (jobs=1) engine calls them directly so module globals in
@@ -185,14 +186,15 @@ def test_journal_bearing_policy_requires_keys(tmp_path):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_skip_mode_records_failures_in_place(jobs):
-    stats = SweepStats()
+    obs = Obs()
+    stats = SweepStats(obs.metrics)
     out = parallel_map(
         _fail_on_negative,
         [1, -1, 3, -2],
         jobs,
         span_name="s",
         resilience=ResiliencePolicy(on_error="skip"),
-        stats=stats,
+        obs=obs,
     )
     assert out[0] == 2 and out[2] == 6
     assert isinstance(out[1], TaskFailure) and isinstance(out[3], TaskFailure)
@@ -218,7 +220,8 @@ def test_raise_mode_propagates(jobs):
 def test_retry_recovers_transient_faults(jobs):
     # The fault trips only the first attempt of task 1; the retry runs
     # clean and the map completes with full results.
-    stats = SweepStats()
+    obs = Obs()
+    stats = SweepStats(obs.metrics)
     policy = ResiliencePolicy(
         on_error="retry",
         max_retries=2,
@@ -227,7 +230,7 @@ def test_retry_recovers_transient_faults(jobs):
     )
     out = parallel_map(
         _double, [10, 20, 30], jobs, span_name="s",
-        resilience=policy, stats=stats,
+        resilience=policy, obs=obs,
     )
     assert out == [20, 40, 60]
     assert stats.retries == 1
@@ -238,7 +241,8 @@ def test_retry_recovers_transient_faults(jobs):
 def test_retry_exhaustion_degrades_to_failure(jobs):
     # trips above max_retries: every attempt fails, the task degrades
     # to a recorded TaskFailure after 1 + max_retries attempts.
-    stats = SweepStats()
+    obs = Obs()
+    stats = SweepStats(obs.metrics)
     policy = ResiliencePolicy(
         on_error="retry",
         max_retries=2,
@@ -247,7 +251,7 @@ def test_retry_exhaustion_degrades_to_failure(jobs):
     )
     out = parallel_map(
         _double, [10, 20], jobs, span_name="s",
-        resilience=policy, stats=stats,
+        resilience=policy, obs=obs,
     )
     assert isinstance(out[0], TaskFailure)
     assert out[0].attempts == 3
@@ -260,7 +264,8 @@ def test_kill_fault_triggers_pool_rebuild():
     # Task 1 hard-exits its worker on the first attempt, breaking the
     # pool.  The engine harvests survivors, re-runs the in-flight tasks
     # in the parent, rebuilds the pool, and completes every result.
-    stats = SweepStats()
+    obs = Obs()
+    stats = SweepStats(obs.metrics)
     policy = ResiliencePolicy(
         on_error="retry",
         max_retries=2,
@@ -269,7 +274,7 @@ def test_kill_fault_triggers_pool_rebuild():
     )
     out = parallel_map(
         _double, list(range(6)), 2, span_name="s",
-        resilience=policy, stats=stats,
+        resilience=policy, obs=obs,
     )
     assert out == [0, 2, 4, 6, 8, 10]
     assert stats.pool_rebuilds >= 1
@@ -278,7 +283,8 @@ def test_kill_fault_triggers_pool_rebuild():
 def test_timeout_cancels_hung_task():
     # Task 0 sleeps far past the budget; the engine cancels it by pool
     # rebuild and the innocents complete unscathed.
-    stats = SweepStats()
+    obs = Obs()
+    stats = SweepStats(obs.metrics)
     policy = ResiliencePolicy(on_error="skip", timeout_s=0.4)
     out = parallel_map(
         _sleep_then,
@@ -286,7 +292,7 @@ def test_timeout_cancels_hung_task():
         2,
         span_name="s",
         resilience=policy,
-        stats=stats,
+        obs=obs,
     )
     assert isinstance(out[0], TaskFailure)
     assert out[0].timed_out

@@ -537,11 +537,12 @@ class TestStoreAccounting:
         from repro.obs import Obs
 
         cache = SolveCache(tmp_path / "c.json")
-        stats, obs = SweepStats(), Obs()
+        obs = Obs()
+        stats = SweepStats(obs.metrics)
         cache.put(SPEC, TARGET, 32.0, best)
         cache.flush()
-        account_store(cache, stats, obs)
-        account_store(cache, stats, obs)  # idempotent when idle
+        account_store(cache, obs)
+        account_store(cache, obs)  # idempotent when idle
         assert stats.store_flush_writes == 1
         assert obs.metrics.counter("store.flush_writes").value == 1
         assert obs.metrics.counter("store.misses").value == 0
@@ -551,9 +552,9 @@ class TestStoreAccounting:
     def test_account_store_tolerates_missing_sinks(self, tmp_path, best):
         from repro.core.solvecache import account_store
 
-        account_store(None, None, None)  # no cache: nothing to do
+        account_store(None, None)  # no cache: nothing to do
         cache = SolveCache(tmp_path / "c.json")
-        account_store(cache, None, None)  # no sinks: must not drain
+        account_store(cache, None)  # no sink: must not drain
         cache.put(SPEC, TARGET, 32.0, best)
         cache.flush()
         deltas, _ = cache.drain_events()
@@ -566,13 +567,15 @@ class TestStoreAccounting:
         from repro.core.cacti import solve
         from repro.core.config import MemorySpec
         from repro.core.optimizer import SweepStats
+        from repro.obs import Obs
 
         monkeypatch.setattr(
             optimizer_module,
             "feasible_designs",
             lambda tech, spec, **kwargs: [best],
         )
-        stats = SweepStats()
+        obs = Obs()
+        stats = SweepStats(obs.metrics)
         cache = SolveCache(tmp_path / "c.json")
         solve(
             MemorySpec(
@@ -584,7 +587,7 @@ class TestStoreAccounting:
             ),
             TARGET,
             solve_cache=cache,
-            stats=stats,
+            obs=obs,
         )
         assert stats.store_flush_writes == 1
         assert "solve store" in stats.summary()

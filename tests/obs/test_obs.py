@@ -22,13 +22,6 @@ class TestPhase:
         with phase("build") as span:
             assert span is None
 
-    def test_stats_only_populates_phase_times(self):
-        stats = SweepStats()
-        with phase("build", stats=stats):
-            pass
-        assert "build" in stats.phase_times
-        assert stats.phase_times["build"] >= 0.0
-
     def test_obs_records_span_and_histogram(self):
         obs = Obs()
         with phase("build", obs):
@@ -38,13 +31,14 @@ class TestPhase:
         assert h["count"] == 1
 
     def test_one_measurement_feeds_both_sinks(self):
-        """SweepStats stays a thin view of the same clock reading."""
+        """The span and the histogram share one clock reading, and
+        SweepStats reads that same histogram back."""
         obs = Obs()
-        stats = SweepStats()
-        with phase("build", obs, stats):
+        with phase("build", obs) as span:
             pass
         h = obs.metrics.snapshot()["histograms"]["phase.build_s"]
-        assert stats.phase_times["build"] == h["sum"]
+        assert h["sum"] == span.duration_s
+        assert SweepStats(obs.metrics).phase_times["build"] == h["sum"]
 
 
 class TestObsBundle:
@@ -73,3 +67,14 @@ class TestObsBundle:
         parent = Obs()
         parent.absorb_worker(None)
         assert len(parent.tracer) == 0
+
+    def test_worker_histograms_land_under_worker_prefix(self):
+        worker = Obs()
+        with phase("build", worker):
+            pass
+        parent = Obs()
+        parent.absorb_worker(worker.export_payload())
+        snap = parent.metrics.snapshot()
+        assert "phase.build_s" not in snap["histograms"]
+        assert snap["histograms"]["worker.phase.build_s"]["count"] == 1
+        assert snap["counters"]["workers.absorbed"] == 1
