@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.core.cacti import solve_batch
 from repro.core.config import OptimizationTarget
-from repro.core.resilience import Journal, ResiliencePolicy, task_key
+from repro.core.resilience import Journal, ResiliencePolicy
 from repro.core.solvecache import CACHE_VERSION
 from repro.cachedb.schema import (
     DB_FORMAT_VERSION,
@@ -60,15 +60,6 @@ class BuildReport:
             f"build wall time : {self.wall_time_s:.2f} s",
         ]
         return "\n".join(lines)
-
-
-def _batch_key(spec, target) -> str:
-    """The journal key :func:`~repro.core.cacti.solve_batch` uses for
-    one spec, replicated so the builder can count restorable cells."""
-    return task_key(
-        "batch.solve",
-        {"spec": spec, "target": target or OptimizationTarget()},
-    )
 
 
 def build_cachedb(
@@ -125,14 +116,6 @@ def build_cachedb(
         keys.append(key)
         specs.append(spec)
 
-    restored = 0
-    if resilience.journal is not None:
-        restored = sum(
-            1
-            for spec in specs
-            if _batch_key(spec, target) in resilience.journal
-        )
-
     outcomes = solve_batch(
         specs,
         target,
@@ -176,6 +159,6 @@ def build_cachedb(
         grid_points=len(grid),
         solved=len(points),
         holes=len(holes),
-        restored=restored,
+        restored=outcomes.restored,
         wall_time_s=time.perf_counter() - t0,
     )

@@ -516,8 +516,8 @@ class CacheDB:
 
 
 #: Per-process readers keyed by path, so study/sweep worker processes
-#: parse each artifact once, not once per task (the
-#: ``worker_solve_cache`` idiom).
+#: parse each artifact once, not once per task (as workers open each
+#: solve store once).
 _OPEN_DBS: dict[str, CacheDB] = {}
 
 

@@ -343,7 +343,7 @@ def _solver_knobs(args: argparse.Namespace) -> tuple:
 
 def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
     """A policy from the CLI flags, or None when every flag is default
-    (the plain fail-fast engine, no journal)."""
+    (the engine's default fail-fast policy, no journal)."""
     on_error = getattr(args, "on_error", "raise")
     timeout = getattr(args, "task_timeout", None)
     resume = getattr(args, "resume", None)
@@ -424,7 +424,7 @@ def _run_cache(args: argparse.Namespace) -> int:
     )
     from repro.core.cacti import solve
 
-    solve_cache, obs, resilience = _solver_knobs(args)
+    solve_cache, obs, _unused = _solver_knobs(args)
     cachedb = None
     if args.cachedb is not None:
         from repro.cachedb.reader import CacheDB
@@ -434,9 +434,7 @@ def _run_cache(args: argparse.Namespace) -> int:
         spec,
         _PRESETS[args.optimize],
         solve_cache=solve_cache,
-        jobs=args.jobs,
         obs=obs,
-        resilience=resilience,
         cachedb=cachedb,
     )
     print(solution.summary())
@@ -455,14 +453,12 @@ def _run_main_memory(args: argparse.Namespace) -> int:
         burst_length=args.burst,
         page_bits=args.page,
     )
-    solve_cache, obs, resilience = _solver_knobs(args)
+    solve_cache, obs, _unused = _solver_knobs(args)
     solution = solve_main_memory(
         spec,
         node_nm=args.node,
         solve_cache=solve_cache,
-        jobs=args.jobs,
         obs=obs,
-        resilience=resilience,
     )
     print(solution.summary())
     _report_obs(args, obs)
@@ -485,15 +481,12 @@ def _run_table3(args: argparse.Namespace) -> int:
     solve_cache, obs, resilience = _solver_knobs(args)
     # Pass only the live knobs: a knob-free call keeps table3's memo of
     # already-solved rows (and a second `repro table3` stays fast).
+    # Each row is one in-process solve, so --jobs has nothing to fan out.
     knobs = {}
     if solve_cache is not None:
         knobs["solve_cache"] = solve_cache
     if obs is not None:
         knobs["obs"] = obs
-    # "auto" stays out of the knobs, so the default invocation remains
-    # knob-free and keeps table3's memo of solved rows.
-    if args.jobs not in (1, "auto"):
-        knobs["jobs"] = args.jobs
     if resilience is not None:
         knobs["resilience"] = resilience
     for name, row in solve_table3(**knobs).items():

@@ -5,22 +5,22 @@ Entry points:
 * :func:`solve` -- solve a cache or plain memory described by a
   :class:`~repro.core.config.MemorySpec`; caches get a tag array solved
   alongside the data array and composed per the access mode.
-* :func:`solve_batch` -- solve many independent specs, optionally
-  across worker processes, sharing one persistent solve cache.
+* :func:`solve_batch` -- solve many independent specs through the
+  fan-out engine (:mod:`repro.core.parallel`), in-process or across
+  worker processes, sharing one persistent solve cache.
 * :func:`solve_main_memory` -- solve a commodity main-memory DRAM chip
   described by a :class:`~repro.array.mainmem.MainMemorySpec`, returning
   the datasheet-style timing interface and per-command energies.
 * :class:`CactiD` -- a small facade caching the technology object across
   solves at one node.
 
-:func:`solve_batch` takes ``jobs``: ``1`` (the default) is the plain
-serial path, ``N > 1`` fans the specs out over ``N`` worker processes,
-``<= 0`` means all available cores, and ``"auto"`` picks serial or all
-cores from the machine and the batch size.  Results are bit-identical
-at any job count -- parallelism only changes wall time.  The
-single-spec entry points accept ``jobs`` and ``resilience`` too, but a
-single spec always solves in-process: its candidate grid is evaluated
-by the vectorized kernels, faster than worker processes could start.
+:func:`solve_batch` takes ``jobs``: ``1`` (the default) solves
+in-process, ``N > 1`` fans the specs out over ``N`` worker processes,
+``<= 0`` means all available cores, and ``"auto"`` picks in-process or
+all cores from the machine and the batch size.  Results are bit-identical
+at any job count -- parallelism only changes wall time.  A single spec
+always solves in-process: its candidate grid is evaluated by the
+vectorized kernels, faster than worker processes could start.
 
 Importing this module loads neither numpy nor the process pool: the
 kernels load on the first live solve and the pool machinery on the
@@ -42,13 +42,18 @@ from repro.array.mainmem import (
     derive_energies,
     derive_timing,
 )
-from repro.array.organization import ArrayMetrics, ArraySpec, EvalCache
+from repro.array.organization import (
+    ArrayMetrics,
+    ArraySpec,
+    EvalCache,
+    InfeasibleOrganization,
+)
 from repro.core.config import (
     DENSITY_OPTIMIZED,
     MemorySpec,
     OptimizationTarget,
 )
-from repro.core.optimizer import SweepStats, optimize
+from repro.core.optimizer import NoFeasibleSolution, SweepStats, optimize
 from repro.core.resilience import ResiliencePolicy, TaskFailure, task_key
 from repro.core.results import Solution
 from repro.core.solvecache import SolveCache, account_store as _account_store
@@ -106,9 +111,7 @@ def solve(
     *,
     eval_cache: EvalCache | None = None,
     solve_cache: SolveCache | None = None,
-    jobs: int | str = 1,
     obs: Obs | None = None,
-    resilience: ResiliencePolicy | None = None,
     cachedb=None,
 ) -> Solution:
     """Solve ``spec``, returning the optimizer's best design point.
@@ -124,9 +127,8 @@ def solve(
     span: an exact precomputed hit -- bit-identical to solving live --
     returns in microseconds with the span tagged ``source="cachedb"``,
     anything else falls through to the solver.  None of
-    them changes the returned numbers.  ``jobs`` and ``resilience`` are
-    accepted for API compatibility and ignored: a single spec always
-    solves in-process (use :func:`solve_batch` to fan specs out).
+    them changes the returned numbers.  A single spec always solves
+    in-process (use :func:`solve_batch` to fan specs out).
     """
     target = target or OptimizationTarget()
     with maybe_span(
@@ -178,41 +180,95 @@ def solve(
 class BatchOutcome(list):
     """A ``list`` of solutions that also carries partial-failure facts.
 
-    Behaves exactly like the plain list :func:`solve_batch` always
-    returned (indexing, iteration, equality), with one addition: under
-    a skip/retry resilience policy, slots whose solves failed
-    terminally hold ``None`` and the corresponding
+    Behaves exactly like a plain list (indexing, iteration, equality),
+    with two additions: under a skip/retry resilience policy, slots
+    whose solves failed terminally hold ``None`` and the corresponding
     :class:`~repro.core.resilience.TaskFailure` records live in
-    ``failed`` (empty on a fully successful batch).
+    ``failed`` (empty on a fully successful batch); ``restored`` counts
+    the solutions served from the policy's journal without solving.
     """
 
-    def __init__(self, solutions, failed=()):
+    def __init__(self, solutions, failed=(), restored=0):
         super().__init__(solutions)
         self.failed: tuple[TaskFailure, ...] = tuple(failed)
+        self.restored = restored
 
 
-def _solve_batch_task(payload: tuple) -> tuple[Solution, dict | None]:
-    """Worker task: one full spec solve with worker-local caches.
+def _solve_task(payload: tuple) -> Solution | None:
+    """Engine task: one full spec solve with the map's shared caches
+    and ``Obs`` (:func:`repro.core.parallel.task_env`).
 
-    The worker keeps one :class:`SolveCache` per shared path for its
-    whole life (safe: saves are atomic and merge concurrently-written
-    records; worker-local memoization means the JSON records parse once
-    per worker, not once per task).  Returns ``(solution, payload)``:
-    the worker's :meth:`~repro.obs.Obs.export_payload` when the parent
-    observes the run, else None.
+    With ``tolerate_infeasible`` the *intended* infeasibilities -- no
+    feasible organization, or a geometry that cannot divide
+    (``InfeasibleOrganization``) -- come back as None (a sweep's
+    infeasible point); any other error is a genuine model failure and
+    goes to the engine's error policy.
     """
+    from repro.core.parallel import task_env
+
+    spec, target, tolerate_infeasible = payload
+    env = task_env()
+    try:
+        return solve(
+            spec,
+            target,
+            eval_cache=env.eval_cache,
+            solve_cache=env.solve_cache,
+            obs=env.obs,
+        )
+    except (NoFeasibleSolution, InfeasibleOrganization):
+        if not tolerate_infeasible:
+            raise
+        return None
+
+
+def _solve_map(
+    specs: list[MemorySpec],
+    targets: list[OptimizationTarget | None],
+    *,
+    stage: str,
+    tolerate_infeasible: bool = False,
+    eval_cache: EvalCache | None,
+    solve_cache: SolveCache | None,
+    jobs: int,
+    obs: Obs | None,
+    resilience: ResiliencePolicy | None,
+) -> BatchOutcome:
+    """Solve ``specs`` through the fan-out engine as ``stage`` tasks
+    (the journal key of each is its spec and target)."""
     from repro.core import parallel
 
-    spec, target, cache_path, with_obs = payload
-    obs = Obs() if with_obs else None
-    solution = solve(
-        spec,
-        target,
-        eval_cache=parallel.worker_eval_cache(),
-        solve_cache=parallel.worker_solve_cache(cache_path),
+    keys = None
+    restored = 0
+    journal = resilience.journal if resilience is not None else None
+    if journal is not None:
+        keys = [
+            task_key(
+                stage, {"spec": spec, "target": tgt or OptimizationTarget()}
+            )
+            for spec, tgt in zip(specs, targets)
+        ]
+        restored = sum(key in journal for key in keys)
+    outcomes = parallel.parallel_map(
+        _solve_task,
+        [
+            (spec, tgt, tolerate_infeasible)
+            for spec, tgt in zip(specs, targets)
+        ],
+        jobs,
         obs=obs,
+        span_name=stage,
+        resilience=resilience,
+        keys=keys,
+        eval_cache=eval_cache,
+        solve_cache=solve_cache,
     )
-    return solution, obs.export_payload() if obs is not None else None
+    failed = [o for o in outcomes if isinstance(o, TaskFailure)]
+    return BatchOutcome(
+        [None if isinstance(o, TaskFailure) else o for o in outcomes],
+        failed,
+        restored,
+    )
 
 
 def solve_batch(
@@ -224,24 +280,32 @@ def solve_batch(
     jobs: int | str = 1,
     obs: Obs | None = None,
     resilience: ResiliencePolicy | None = None,
-) -> list[Solution]:
+) -> BatchOutcome:
     """Solve independent specs, returning solutions in spec order.
 
     ``target`` is one target for the whole batch or a sequence matching
-    ``specs``.  With ``jobs > 1`` the specs are solved concurrently in
-    worker processes; each worker shares the persistent ``solve_cache``
-    by path (atomic merge-on-save writes make concurrent writers safe)
-    and, when ``obs`` is given, ships its spans and metrics back for
-    absorption.  The serial path defers solve-cache flushes to the
-    batch boundary, so the cache file is rewritten once per batch, not
-    once per record.  The returned solutions are bit-identical to the
-    serial path at any job count.
+    ``specs``.  The batch runs through the fan-out engine
+    (:func:`repro.core.parallel.parallel_map`), which owns the
+    difference between its two modes:
 
-    ``resilience`` makes the batch fault tolerant: failed solves are
-    retried/skipped/raised per the policy, a journal checkpoints each
-    completed spec (resume re-solves only the unfinished ones), and in
-    skip/retry mode the returned :class:`BatchOutcome` carries ``None``
-    at failed slots plus the failures in ``.failed``.
+    * in-process (``jobs`` resolves to 1, or one spec): every solve
+      shares ``eval_cache`` (one fresh cache for the call when
+      omitted), ``solve_cache`` is held open so the batch does one
+      deferred flush, and ``obs`` records every span and counter
+      directly;
+    * pooled: workers share the persistent ``solve_cache`` by URL
+      (atomic merge-on-save writes make concurrent writers safe) and,
+      when ``obs`` is given, ship their spans and metrics home for
+      absorption.
+
+    The returned solutions are bit-identical at any job count.
+
+    ``resilience`` (default: fail fast) sets the failure policy: failed
+    solves are retried/skipped/raised per the policy, a journal
+    checkpoints each completed spec (resume re-solves only the
+    unfinished ones; ``.restored`` counts the rest), and in skip/retry
+    mode the returned :class:`BatchOutcome` carries ``None`` at failed
+    slots plus the failures in ``.failed``.
     """
     # The process pool machinery loads only when a batch runs.
     from repro.core import parallel
@@ -256,126 +320,17 @@ def solve_batch(
                 f"{len(specs)} specs but {len(targets)} targets"
             )
     jobs = parallel.effective_jobs(jobs, len(specs))
-    if resilience is not None:
-        return _solve_batch_resilient(
-            specs, targets, solve_cache, jobs, obs, resilience
-        )
-    fanned_out = jobs > 1 and len(specs) > 1
-    with obs_phase(
-        "batch", obs, specs=len(specs), jobs=jobs
-    ) as batch_span:
-        if not fanned_out:
-            # Serial: one EvalCache spans the whole batch, so repeated
-            # subarray/H-tree problems are solved once across specs;
-            # one deferred flush spans it too (O(1) writes per batch).
-            if eval_cache is None:
-                eval_cache = EvalCache()
-            with solve_cache if solve_cache is not None else nullcontext():
-                solutions = [
-                    solve(
-                        spec,
-                        tgt,
-                        eval_cache=eval_cache,
-                        solve_cache=solve_cache,
-                        obs=obs,
-                    )
-                    for spec, tgt in zip(specs, targets)
-                ]
-            # Drain the batch-boundary flush that the context exit
-            # above just performed.
-            _account_store(solve_cache, obs)
-        else:
-            cache_path = (
-                solve_cache.url if solve_cache is not None else None
-            )
-            results = parallel.parallel_map(
-                _solve_batch_task,
-                [
-                    (spec, tgt, cache_path, obs is not None)
-                    for spec, tgt in zip(specs, targets)
-                ],
-                jobs,
-            )
-            worker_before = _worker_optimize_s(obs)
-            solutions = []
-            for solution, worker_obs in results:
-                solutions.append(solution)
-                if obs is not None:
-                    obs.absorb_worker(worker_obs)
-            worker_wall = _worker_optimize_s(obs) - worker_before
-            if solve_cache is not None:
-                # Pick up the records the workers just wrote to disk.
-                solve_cache.refresh()
-                # Counter deltas arrived inside the worker payloads;
-                # this refreshes the parent-side records/bytes gauges.
-                _account_store(solve_cache, obs)
-    if fanned_out and batch_span is not None and batch_span.duration_s > 0:
-        obs.gauge(
-            "parallel.worker_utilization",
-            worker_wall / (batch_span.duration_s * jobs),
-        )
-    return solutions
-
-
-def _worker_optimize_s(obs: Obs | None) -> float:
-    """Optimizer time absorbed from workers so far."""
-    if obs is None:
-        return 0.0
-    return SweepStats(obs.metrics).worker_phase_times.get("optimize", 0.0)
-
-
-def _solve_batch_resilient(
-    specs, targets, solve_cache, jobs, obs, resilience
-) -> BatchOutcome:
-    """The fault-tolerant batch path (any job count).
-
-    Every spec runs through the same worker-task shape at every job
-    count, so a journal written by a parallel run resumes a serial one
-    and vice versa; in-process execution reuses the process-local
-    eval/solve caches exactly as a worker would.
-    """
-    from repro.core import parallel
-
-    cache_path = (
-        solve_cache.url if solve_cache is not None else None
-    )
-    keys = None
-    if resilience.journal is not None:
-        keys = [
-            task_key(
-                "batch.solve",
-                {"spec": spec, "target": tgt or OptimizationTarget()},
-            )
-            for spec, tgt in zip(specs, targets)
-        ]
-    solutions = []
-    failures = []
     with obs_phase("batch", obs, specs=len(specs), jobs=jobs):
-        outcomes = parallel.parallel_map(
-            _solve_batch_task,
-            [
-                (spec, tgt, cache_path, obs is not None)
-                for spec, tgt in zip(specs, targets)
-            ],
-            jobs,
+        return _solve_map(
+            specs,
+            targets,
+            stage="batch.solve",
+            eval_cache=eval_cache,
+            solve_cache=solve_cache,
+            jobs=jobs,
             obs=obs,
-            span_name="batch.solve",
             resilience=resilience,
-            keys=keys,
         )
-        for outcome in outcomes:
-            if isinstance(outcome, TaskFailure):
-                failures.append(outcome)
-                solutions.append(None)
-                continue
-            solution, worker_obs = outcome
-            solutions.append(solution)
-            if obs is not None:
-                obs.absorb_worker(worker_obs)
-        if solve_cache is not None:
-            solve_cache.refresh()
-            _account_store(solve_cache, obs)
-    return BatchOutcome(solutions, failures)
 
 
 @dataclass(frozen=True)
@@ -472,14 +427,13 @@ def solve_main_memory(
     solve_cache: SolveCache | None = None,
     jobs: int | str = 1,
     obs: Obs | None = None,
-    resilience: ResiliencePolicy | None = None,
 ) -> MainMemorySolution:
     """Solve a main-memory DRAM chip at ``node_nm``.
 
     Commodity parts default to the density-optimized preset because of the
-    premium on price per bit (paper section 2.5).  ``jobs`` and
-    ``resilience`` are accepted for API compatibility and ignored: a
-    single chip always solves in-process.
+    premium on price per bit (paper section 2.5).  A single chip always
+    solves in-process; ``jobs`` is accepted and ignored only because
+    existing benchmark scripts still pass ``jobs=1``.
     """
     target = target or DENSITY_OPTIMIZED
     tech = technology(node_nm)
@@ -563,9 +517,8 @@ class CactiD:
         self,
         spec: MemorySpec,
         target: OptimizationTarget | None = None,
-        jobs: int | str = 1,
     ) -> Solution:
-        """Solve one spec in-process (``jobs`` is accepted and ignored)."""
+        """Solve one spec in-process."""
         self._check_node(spec)
         return solve(
             spec,
@@ -583,12 +536,13 @@ class CactiD:
             OptimizationTarget | Sequence[OptimizationTarget] | None
         ) = None,
         jobs: int | str = 1,
-    ) -> list[Solution]:
+    ) -> BatchOutcome:
         """Solve many specs at this node, optionally across processes.
 
-        Serial batches reuse the facade's EvalCache; parallel batches
-        share the facade's persistent solve cache by path, and every
-        worker's counters land in ``self.obs`` (read via ``self.stats``).
+        In-process batches reuse the facade's EvalCache and solve cache
+        instance; pooled batches share the facade's persistent solve
+        cache by URL.  Either way every counter lands in ``self.obs``
+        (read via ``self.stats``).
         """
         for spec in specs:
             self._check_node(spec)
@@ -607,9 +561,8 @@ class CactiD:
         spec: MainMemorySpec,
         target: OptimizationTarget | None = None,
         clock_period: float = 0.0,
-        jobs: int | str = 1,
     ) -> MainMemorySolution:
-        """Solve one chip in-process (``jobs`` is accepted and ignored)."""
+        """Solve one chip in-process."""
         return solve_main_memory(
             spec,
             self.node_nm,

@@ -1,37 +1,46 @@
-"""Multi-process batch execution engine for design-space sweeps.
+"""The one fan-out engine for batches, sweeps and study matrices.
 
 CACTI-D's value is sweeping *many* configurations: batches of
 independent solves across a study matrix, sensitivity sweeps around a
 base point, and precomputed design-space grids.  Each is embarrassingly
 parallel at the spec level, and this module gives them one engine:
-:func:`parallel_map`, an order-preserving ``ProcessPoolExecutor`` map
-with a worker initializer that installs a worker-local
-:class:`~repro.array.organization.EvalCache`.  The partitioning grid
-*inside* one solve is not sharded: the vectorized kernels
-(:mod:`repro.array.kernels`) evaluate it in-process faster than worker
-processes could be started.
+:func:`parallel_map`, an order-preserving map that runs every task
+under a :class:`~repro.core.resilience.ResiliencePolicy` (the default
+policy fails fast: the first task exception propagates).  The
+partitioning grid *inside* one solve is not sharded: the vectorized
+kernels (:mod:`repro.array.kernels`) evaluate it in-process faster
+than worker processes could be started.
+
+The engine owns the one real difference between its two ways of
+running tasks.  A task function takes its payload and reads what it
+may share with the other tasks of its map from :func:`task_env`:
+
+* *In-process* (``jobs`` resolves to 1): the caller's
+  :class:`~repro.array.organization.EvalCache` (or one fresh cache per
+  call), the caller's :class:`~repro.core.solvecache.SolveCache`
+  instance -- held open, so the whole call does one deferred flush --
+  and the caller's :class:`~repro.obs.Obs` itself.  Nothing is
+  exported, absorbed or pickled.
+* *Pooled*: each worker process keeps one ``EvalCache`` and one
+  ``SolveCache`` per store for its life, and records each task into a
+  worker ``Obs``.  The worker shim ships that ``Obs``'s
+  :meth:`~repro.obs.Obs.export_payload` home next to the task's value
+  and busy time; the parent stitches it in with
+  :meth:`~repro.obs.Obs.absorb_worker` and sets the
+  ``parallel.worker_utilization`` gauge.
 
 Determinism is the contract.  Results come back in payload order, never
 completion order, and worker-local eval caches cannot change numbers:
 cached and uncached construction produce the same frozen objects
 performing the same computations.
 
-Workers ship their spans and counters home as an
-:meth:`~repro.obs.Obs.export_payload` (picklable, no shared state),
-which the parent stitches in with :meth:`~repro.obs.Obs.absorb_worker`.
-``jobs=1`` everywhere falls back to the plain serial path with no
-executor, no forks, and no pickling.
-
-Fault tolerance is opt-in: pass a
-:class:`~repro.core.resilience.ResiliencePolicy` to :func:`parallel_map`
-and failed payloads come back as
-:class:`~repro.core.resilience.TaskFailure` records instead of
-poisoning the pool -- with bounded retries, per-task wall-clock
-timeouts (cancelled by rebuilding the pool), automatic
-``BrokenProcessPool`` recovery (rebuild + serial re-run of the
-in-flight tasks in the parent), and checkpoint/resume through the
-policy's journal.  Without a policy the engine behaves exactly as
-before: the first worker exception propagates.
+Failures are policy: failed payloads come back as
+:class:`~repro.core.resilience.TaskFailure` records under ``skip`` /
+``retry`` instead of poisoning the pool -- with bounded retries,
+per-task wall-clock timeouts (cancelled by rebuilding the pool),
+automatic ``BrokenProcessPool`` recovery (rebuild + in-process re-run
+of the in-flight tasks in the parent), and checkpoint/resume through
+the policy's journal, which records each task's value only.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
+from contextlib import nullcontext
 from typing import Callable, Sequence
 
 from repro.core.resilience import (
@@ -52,16 +62,15 @@ from repro.core.resilience import (
     TaskFailure,
     TaskTimeout,
 )
-from repro.obs import maybe_span
+from repro.obs import Obs, maybe_span
 
 #: Worker-local cross-candidate cache, created by the pool initializer
 #: (one per worker process, reused across every task that worker runs).
 _WORKER_EVAL_CACHE = None
 
-#: Worker-local persistent solve caches, keyed by cache-file path.  A
-#: worker task that opened a fresh :class:`SolveCache` per task would
-#: re-parse the whole JSON file from disk every time; memoizing by path
-#: (mirroring the worker-local EvalCache) loads it once per worker.
+#: Worker-local persistent solve caches, keyed by store URL, so a
+#: worker opens (and, for JSON, parses) each store once, not once per
+#: task.
 _WORKER_SOLVE_CACHES: dict = {}
 
 
@@ -116,6 +125,46 @@ def effective_jobs(jobs: int | str | None, n_tasks: int | None = None) -> int:
     return cores
 
 
+# --------------------------------------------------------------------- #
+# Task environments
+
+
+class TaskEnv:
+    """What a task shares with the other tasks of its map.
+
+    The eval cache is created on first use, so maps whose tasks never
+    solve (study cells, tests) never build one.
+    """
+
+    __slots__ = ("obs", "solve_cache", "_eval_cache")
+
+    def __init__(self, obs=None, solve_cache=None, eval_cache=None):
+        self.obs = obs
+        self.solve_cache = solve_cache
+        self._eval_cache = eval_cache
+
+    @property
+    def eval_cache(self):
+        if self._eval_cache is None:
+            from repro.array.organization import EvalCache
+
+            self._eval_cache = EvalCache()
+        return self._eval_cache
+
+
+#: The environment of the task running now (None outside a map).
+_TASK_ENV: TaskEnv | None = None
+
+
+def task_env() -> TaskEnv:
+    """The running task's environment (see the module docstring).
+
+    Outside a map it is an empty one, so task functions also run when
+    called directly.
+    """
+    return _TASK_ENV if _TASK_ENV is not None else TaskEnv()
+
+
 def _init_worker() -> None:
     global _WORKER_EVAL_CACHE
     from repro.array.organization import EvalCache
@@ -123,37 +172,57 @@ def _init_worker() -> None:
     _WORKER_EVAL_CACHE = EvalCache()
 
 
-def worker_eval_cache():
-    """The calling process's worker-local EvalCache (created on demand,
-    so worker task functions also run unchanged in the parent)."""
-    if _WORKER_EVAL_CACHE is None:
-        _init_worker()
-    return _WORKER_EVAL_CACHE
+def _worker_solve_cache(url: str | None):
+    """This worker's SolveCache for the store at ``url`` (opened once).
 
-
-def worker_solve_cache(spec):
-    """The calling process's SolveCache for ``spec`` (one per store).
-
-    ``spec`` is a store URL or path as produced by
-    :attr:`~repro.core.solvecache.SolveCache.url` -- parents thread it
-    to workers so every process opens the same backend with the same
-    options.  Worker tasks share one persistent cache instance per
-    store spec for the life of the process, so the backing records are
-    loaded once per worker instead of once per task.  Concurrent
-    writers stay safe on every backend: the JSON backend's saves are
-    atomic merge-on-load replaces, and the sqlite backend serializes
-    row upserts on the database write lock (see
+    Concurrent writers stay safe on every backend: the JSON backend's
+    saves are atomic merge-on-load replaces, and the sqlite backend
+    serializes row upserts on the database write lock (see
     :class:`~repro.core.solvecache.SolveCache`).
     """
-    if spec is None:
+    if url is None:
         return None
-    from repro.core.solvecache import SolveCache
-
-    key = os.fspath(spec)
-    cache = _WORKER_SOLVE_CACHES.get(key)
+    cache = _WORKER_SOLVE_CACHES.get(url)
     if cache is None:
-        cache = _WORKER_SOLVE_CACHES[key] = SolveCache(key)
+        from repro.core.solvecache import SolveCache
+
+        cache = _WORKER_SOLVE_CACHES[url] = SolveCache(url)
     return cache
+
+
+def _run_task(fn, payload, stage, index, attempt, fault_plan, env):
+    """One attempt of one task, with ``env`` installed for the task:
+    fire any planned fault, then run ``fn`` inside a ``stage`` span."""
+    global _TASK_ENV
+    if fault_plan is not None:
+        fault_plan.fire(stage, index, attempt)
+    outer, _TASK_ENV = _TASK_ENV, env
+    try:
+        with maybe_span(env.obs, stage, index=index):
+            return fn(payload)
+    finally:
+        _TASK_ENV = outer
+
+
+def _pooled_task(wrapped: tuple) -> tuple:
+    """Worker-side shim: run one task in the worker's environment.
+
+    Returns ``(value, busy seconds, Obs payload or None)``; the parent
+    unwraps it, so only the value reaches results and the journal.
+    """
+    fn, payload, stage, index, attempt, fault_plan, store_url, observed = (
+        wrapped
+    )
+    obs = Obs() if observed else None
+    env = TaskEnv(obs, _worker_solve_cache(store_url), _WORKER_EVAL_CACHE)
+    start = time.perf_counter()
+    value = _run_task(fn, payload, stage, index, attempt, fault_plan, env)
+    busy_s = time.perf_counter() - start
+    return value, busy_s, obs.export_payload() if obs is not None else None
+
+
+# --------------------------------------------------------------------- #
+# The engine
 
 
 def parallel_map(
@@ -161,90 +230,53 @@ def parallel_map(
     payloads: Sequence,
     jobs: int,
     *,
-    obs=None,
+    obs: Obs | None = None,
     span_name: str | None = None,
     resilience: ResiliencePolicy | None = None,
     keys: Sequence[str] | None = None,
+    eval_cache=None,
+    solve_cache=None,
 ) -> list:
-    """Order-preserving map over worker processes.
+    """Order-preserving map of ``fn`` over ``payloads``.
 
-    ``jobs=1`` (or a single payload) runs ``fn`` serially in-process --
-    no executor, no pickling.  Results always come back in payload
-    order, never completion order, so downstream merges are
-    deterministic.  Without a ``resilience`` policy a worker exception
-    propagates to the caller.
+    ``jobs`` (resolved by :func:`resolve_jobs`, capped at the number of
+    tasks left to run) picks in-process or pooled execution; results
+    always come back in payload order.  ``fn`` reads ``obs``,
+    ``eval_cache`` and ``solve_cache`` -- the caller's own in-process,
+    worker-local ones in a pool -- through :func:`task_env`.
 
-    ``obs`` + ``span_name`` trace the map: the serial path records one
-    ``span_name`` span per task, the parallel path one enclosing
-    ``<span_name>.map`` span (per-task spans inside workers are the
-    task function's job to ship home).
-
-    With a :class:`~repro.core.resilience.ResiliencePolicy` the map is
-    fault tolerant: per-task error capture (``on_error`` policy with
-    bounded exponential-backoff retries), per-task wall-clock timeouts
-    with cancellation, pool rebuild + parent-side serial re-run of
-    in-flight tasks on ``BrokenProcessPool``, and -- when the policy
-    carries a journal and ``keys`` names each task -- checkpointed
-    results restored without re-execution.  Failed slots hold
+    ``resilience`` (default: ``ResiliencePolicy()``, fail fast) sets
+    the failure policy: ``on_error`` with bounded exponential-backoff
+    retries, per-task wall-clock timeouts with cancellation (pooled
+    runs only), pool rebuild + in-process re-run of in-flight tasks on
+    ``BrokenProcessPool``, and -- when the policy carries a journal and
+    ``keys`` names each task -- checkpointed values restored without
+    re-execution.  Failed slots hold
     :class:`~repro.core.resilience.TaskFailure` records in skip/retry
-    mode.  ``obs`` counts ``resilience.retries``, ``.timeouts``,
-    ``.tasks_failed``, ``.pool_rebuilds`` and ``.journal_restored``.
+    mode.
+
+    ``obs`` traces the map: one ``<span_name>.resilient_map`` span
+    around the run and one ``span_name`` span per task (recorded in the
+    worker and shipped home when pooled).  It counts
+    ``resilience.retries``, ``.timeouts``, ``.tasks_failed``,
+    ``.pool_rebuilds`` and ``.journal_restored``, and the
+    ``store.*`` family of ``solve_cache``.
     """
-    payloads = list(payloads)
-    if resilience is not None:
-        return _ResilientMap(
-            fn,
-            payloads,
-            jobs,
-            resilience,
-            keys=keys,
-            stage=span_name or "parallel_map",
-            obs=obs,
-        ).run()
-    jobs = min(resolve_jobs(jobs), len(payloads))
-    if jobs <= 1:
-        if obs is None or span_name is None:
-            return [fn(p) for p in payloads]
-        results = []
-        for i, p in enumerate(payloads):
-            with obs.span(span_name, index=i):
-                results.append(fn(p))
-        return results
-    with maybe_span(
-        obs,
-        f"{span_name}.map" if span_name else "parallel_map",
-        jobs=jobs,
-        tasks=len(payloads),
-    ):
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker
-        ) as pool:
-            return list(pool.map(fn, payloads))
-
-
-# --------------------------------------------------------------------- #
-# The fault-tolerant execution engine.
-
-
-def _policy_task(wrapped: tuple):
-    """Worker-side task shim: fire any planned fault, then run the task.
-
-    Ships ``(fn, payload, stage, index, attempt, fault_plan)`` instead
-    of the bare payload so deterministic fault injection happens inside
-    whichever process executes the task.
-    """
-    fn, payload, stage, index, attempt, fault_plan = wrapped
-    if fault_plan is not None:
-        fault_plan.fire(stage, index, attempt)
-    return fn(payload)
+    return _ResilientMap(
+        fn,
+        list(payloads),
+        jobs,
+        resilience or ResiliencePolicy(),
+        keys=keys,
+        stage=span_name or "parallel_map",
+        env=TaskEnv(obs, solve_cache, eval_cache),
+    ).run()
 
 
 class _ResilientMap:
-    """One fault-tolerant map execution (see :func:`parallel_map`)."""
+    """One map execution (see :func:`parallel_map`)."""
 
-    def __init__(
-        self, fn, payloads, jobs, policy, *, keys, stage, obs
-    ):
+    def __init__(self, fn, payloads, jobs, policy, *, keys, stage, env):
         if policy.journal is not None and keys is None:
             raise ValueError(
                 "a journal-bearing policy needs per-task keys"
@@ -258,8 +290,10 @@ class _ResilientMap:
         self.policy = policy
         self.keys = keys
         self.stage = stage
-        self.obs = obs
+        self.env = env
+        self.obs = env.obs
         self.results: list = [None] * len(payloads)
+        self.busy_s = 0.0  # task time measured in the worker shims
         self.todo = self._restore_from_journal()
         self.jobs = min(resolve_jobs(jobs), max(1, len(self.todo)))
 
@@ -281,11 +315,8 @@ class _ResilientMap:
                 self.results[i] = journal.result(self.keys[i])
             else:
                 todo.append(i)
-        if self.obs is not None and len(todo) < len(self.payloads):
-            self.obs.inc(
-                "resilience.journal_restored",
-                len(self.payloads) - len(todo),
-            )
+        if len(todo) < len(self.payloads):
+            self._count("journal_restored", len(self.payloads) - len(todo))
         return todo
 
     def _success(self, index: int, value) -> None:
@@ -293,6 +324,15 @@ class _ResilientMap:
         journal = self.policy.journal
         if journal is not None:
             journal.record(self.keys[index], self.stage, value)
+
+    def _harvest(self, index: int, result: tuple) -> None:
+        """Unwrap a pooled task's result: absorb its worker ``Obs``,
+        count its busy time, keep its value."""
+        value, busy_s, payload = result
+        self.busy_s += busy_s
+        if self.obs is not None:
+            self.obs.absorb_worker(payload)
+        self._success(index, value)
 
     # -- failure policy ------------------------------------------------ #
 
@@ -323,6 +363,7 @@ class _ResilientMap:
     def run(self) -> list:
         if not self.todo:
             return self.results
+        solve_cache = self.env.solve_cache
         with maybe_span(
             self.obs,
             f"{self.stage}.resilient_map",
@@ -331,32 +372,37 @@ class _ResilientMap:
             skipped=len(self.payloads) - len(self.todo),
         ):
             if self.jobs <= 1:
-                self._run_serial()
+                # Held open: every solve boundary inside defers its
+                # flush to this one exit.
+                with solve_cache if solve_cache is not None else nullcontext():
+                    for index in self.todo:
+                        self._run_in_process(index, first_attempt=1)
             else:
-                self._run_parallel()
+                self._run_pooled()
+                if solve_cache is not None:
+                    # Pick up the records the workers wrote.
+                    solve_cache.refresh()
+        if solve_cache is not None:
+            from repro.core.solvecache import account_store
+
+            account_store(solve_cache, self.obs)
         return self.results
 
-    def _attempt_serial(self, index: int, attempt: int):
-        return _policy_task((
-            self.fn,
-            self.payloads[index],
-            self.stage,
-            index,
-            attempt,
-            self.policy.fault_plan,
-        ))
-
-    def _run_serial(self) -> None:
+    def _run_in_process(self, index: int, first_attempt: int) -> None:
         # In-process execution cannot be preempted, so ``timeout_s`` is
         # not enforced here -- timeouts need a worker pool to cancel.
-        for index in self.todo:
-            self._run_one_serially(index, first_attempt=1)
-
-    def _run_one_serially(self, index: int, first_attempt: int) -> None:
         attempt = first_attempt
         while True:
             try:
-                value = self._attempt_serial(index, attempt)
+                value = _run_task(
+                    self.fn,
+                    self.payloads[index],
+                    self.stage,
+                    index,
+                    attempt,
+                    self.policy.fault_plan,
+                    self.env,
+                )
             except Exception as exc:
                 if self._handle_error(index, attempt, exc):
                     attempt += 1
@@ -365,10 +411,17 @@ class _ResilientMap:
             self._success(index, value)
             return
 
-    def _run_parallel(self) -> None:
+    def _run_pooled(self) -> None:
+        store_url = (
+            self.env.solve_cache.url
+            if self.env.solve_cache is not None
+            else None
+        )
+        observed = self.obs is not None
         pending: deque = deque((i, 1) for i in self.todo)
         inflight: dict = {}  # future -> (index, attempt, submitted_at)
         pool = None
+        start = time.perf_counter()
         try:
             while pending or inflight:
                 if pool is None:
@@ -387,9 +440,11 @@ class _ResilientMap:
                         index,
                         attempt,
                         self.policy.fault_plan,
+                        store_url,
+                        observed,
                     )
                     try:
-                        fut = pool.submit(_policy_task, wrapped)
+                        fut = pool.submit(_pooled_task, wrapped)
                     except BrokenExecutor:
                         pending.appendleft((index, attempt))
                         pool = self._recover_broken_pool(
@@ -410,20 +465,20 @@ class _ResilientMap:
                 for fut in done:
                     index, attempt, _ = inflight.pop(fut)
                     try:
-                        value = fut.result()
+                        result = fut.result()
                     except BrokenExecutor:
                         broken = True
                         # The parent re-runs this task itself: a task
                         # that kills every worker it lands on must not
                         # kill pool after pool.
-                        self._run_one_serially(
+                        self._run_in_process(
                             index, first_attempt=attempt + 1
                         )
                     except Exception as exc:
                         if self._handle_error(index, attempt, exc):
                             pending.append((index, attempt + 1))
                     else:
-                        self._success(index, value)
+                        self._harvest(index, result)
                 if broken:
                     pool = self._recover_broken_pool(
                         pool, inflight, pending
@@ -431,6 +486,12 @@ class _ResilientMap:
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
+        wall_s = time.perf_counter() - start
+        if self.obs is not None and wall_s > 0:
+            self.obs.gauge(
+                "parallel.worker_utilization",
+                self.busy_s / (wall_s * self.jobs),
+            )
 
     def _next_deadline(self, inflight: dict) -> float | None:
         """Seconds until the earliest in-flight task goes overdue."""
@@ -473,7 +534,7 @@ class _ResilientMap:
                 pending.append((index, attempt + 1))
         for fut, (index, attempt, _) in list(inflight.items()):
             if fut.done() and fut.exception() is None:
-                self._success(index, fut.result())
+                self._harvest(index, fut.result())
             else:
                 pending.append((index, attempt))
         inflight.clear()
@@ -482,19 +543,19 @@ class _ResilientMap:
         return None
 
     def _recover_broken_pool(self, pool, inflight: dict, pending: deque):
-        """BrokenProcessPool: harvest survivors, re-run the rest serially.
+        """BrokenProcessPool: harvest survivors, re-run the rest here.
 
         Futures that completed before the crash keep their results; the
-        tasks that were in flight when the pool died are re-run in the
-        parent (serially, charged one attempt -- one of them likely
+        tasks that were in flight when the pool died are re-run
+        in-process (serially, charged one attempt -- one of them likely
         killed the worker, and the parent must survive running it).
         """
         self._count("pool_rebuilds")
         for fut, (index, attempt, _) in list(inflight.items()):
             if fut.done() and fut.exception() is None:
-                self._success(index, fut.result())
+                self._harvest(index, fut.result())
             else:
-                self._run_one_serially(index, first_attempt=attempt + 1)
+                self._run_in_process(index, first_attempt=attempt + 1)
         inflight.clear()
         pool.shutdown(wait=False, cancel_futures=True)
         return None

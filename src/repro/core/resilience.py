@@ -2,16 +2,17 @@
 
 A multi-hour design-space sweep must not lose everything to one worker
 exception, one OOM-killed process, or one hung task.  This module is
-the resilience layer the parallel engine
+the resilience layer every map of the fan-out engine
 (:mod:`repro.core.parallel`) executes under:
 
 * :class:`ResiliencePolicy` -- what to do when a task fails:
-  ``on_error="raise"`` fails fast (the pre-existing behaviour),
-  ``"skip"`` records a :class:`TaskFailure` in the task's result slot
-  and keeps going, ``"retry"`` re-runs the task with bounded
-  exponential backoff before degrading to a recorded failure.  A
-  per-task wall-clock ``timeout_s`` cancels hung tasks (parallel runs
-  only -- an in-process task cannot be preempted).
+  ``on_error="raise"`` fails fast (the default policy, which the
+  engine applies when a caller passes none), ``"skip"`` records a
+  :class:`TaskFailure` in the task's result slot and keeps going,
+  ``"retry"`` re-runs the task with bounded exponential backoff
+  before degrading to a recorded failure.  A per-task wall-clock
+  ``timeout_s`` cancels hung tasks (pooled runs only -- an in-process
+  task cannot be preempted).
 * :class:`Journal` -- an append-only JSONL checkpoint of completed
   tasks keyed by content hash (:func:`task_key`, the same
   canonical-JSON/sha256 scheme as
@@ -44,8 +45,9 @@ from pathlib import Path
 
 #: Journal file format / key-scheme version.  Bump whenever the record
 #: layout or the task_key canonicalization changes; mismatched lines
-#: are skipped on load rather than served.
-JOURNAL_VERSION = "repro-journal-v1"
+#: are skipped on load rather than served.  v2: a record holds the
+#: task's value only (v1 also pickled the worker's Obs payload).
+JOURNAL_VERSION = "repro-journal-v2"
 
 #: The error policies a :class:`ResiliencePolicy` accepts.
 ON_ERROR_POLICIES = ("raise", "skip", "retry")
@@ -204,10 +206,10 @@ class Journal:
     """Append-only JSONL checkpoint of completed task results.
 
     One line per completed task: ``{"v": ..., "key": ..., "stage": ...,
-    "data": <base64 pickle>}``, written in a single ``write`` + flush at
-    the task boundary, so a killed run leaves at worst one torn final
-    line -- which the loader skips, along with any version-mismatched
-    or hand-mangled line, rather than erroring.  Resuming against the
+    "data": <base64 pickle of the task's value>}``, written in a single
+    ``write`` + flush at the task boundary, so a killed run leaves at
+    worst one torn final line -- which the loader skips, along with any
+    version-mismatched or hand-mangled line, rather than erroring.  Resuming against the
     same journal path restores every recorded result without
     re-executing its task.
     """

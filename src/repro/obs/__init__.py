@@ -19,9 +19,11 @@ The metrics registry is the pipeline's only ledger: every event is
 counted once, here.  :class:`~repro.core.optimizer.SweepStats` (the
 CLI's ``--stats`` report) is a read-only view over it.
 
-Worker processes record spans and metrics into their own ``Obs`` and
-ship ``export_payload()`` home as their task result's second element;
-the parent's :meth:`Obs.absorb_worker` stitches the spans into its
+Pooled tasks of the fan-out engine (:mod:`repro.core.parallel`) record
+spans and metrics into a worker ``Obs``, and the engine's worker shim
+ships its ``export_payload()`` home next to the task's value (tasks
+run in-process record into the caller's ``Obs`` directly); the
+parent's :meth:`Obs.absorb_worker` stitches the spans into its
 trace with the worker's pid at the correct time offset, adds the
 worker's counters under their own names, and files its histograms
 under a ``worker.`` prefix so the parent's ``phase.*`` timers stay

@@ -215,19 +215,22 @@ def run_study(
 
     Each configuration (and its energy model, which may invoke the
     CACTI-D solver when ``source="cacti"``) is built once per process
-    and shared across all applications.  ``jobs > 1`` runs the
-    app x config cells concurrently in worker processes; every cell's
-    simulation is seeded, so the matrix is identical at any job count.
-    ``obs`` traces the matrix (one ``study.cell`` span per cell when
-    serial, one enclosing span when parallel), counts cells run, and
-    counts the resilience engine's retries, timeouts, failures and
-    rebuilds under ``resilience.*``.
+    and shared across all applications.  The cells run through the
+    fan-out engine (:func:`repro.core.parallel.parallel_map`): in-process
+    when ``jobs`` resolves to 1, else concurrently in worker processes;
+    every cell's simulation is seeded, so the matrix is identical at
+    any job count.  ``obs`` traces the matrix (one ``study.cell`` span
+    per cell in either mode -- worker spans are shipped home), counts
+    cells run, counts the engine's retries, timeouts, failures and
+    rebuilds under ``resilience.*``, and gets the
+    ``parallel.worker_utilization`` gauge of a pooled run.
 
-    ``resilience`` makes the matrix fault tolerant: failed cells are
-    retried/skipped/raised per the policy, a journal checkpoints each
-    completed cell so an interrupted matrix resumed against the same
-    journal re-runs only the unfinished cells, and terminal failures
-    land in ``StudyResult.failed`` instead of aborting the run.
+    ``resilience`` (default: fail fast) makes the matrix fault
+    tolerant: failed cells are retried/skipped/raised per the policy, a
+    journal checkpoints each completed cell so an interrupted matrix
+    resumed against the same journal re-runs only the unfinished cells,
+    and terminal failures land in ``StudyResult.failed`` instead of
+    aborting the run.
     ``cachedb`` (an artifact path) serves each worker's
     ``source="cacti"`` solves from the precomputed database.
 

@@ -11,22 +11,17 @@ plus local elasticities (d log(metric) / d log(input)).
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from repro.array.organization import EvalCache, InfeasibleOrganization
+from repro.array.organization import EvalCache
 from repro.core import parallel
-from repro.core.cacti import solve
+from repro.core.cacti import _solve_map
 from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import NoFeasibleSolution
-from repro.core.resilience import (
-    ResiliencePolicy,
-    TaskFailure,
-    task_key,
-)
+from repro.core.resilience import ResiliencePolicy, TaskFailure
 from repro.core.results import Solution
-from repro.core.solvecache import SolveCache, account_store as _account_store
+from repro.core.solvecache import SolveCache
 from repro.obs import Obs, maybe_span
 
 #: Metrics extracted from each solved point.
@@ -137,36 +132,6 @@ class SensitivityResult:
         return "\n".join(lines)
 
 
-def _sweep_point_task(payload: tuple) -> tuple[Solution | None, dict | None]:
-    """Worker task: solve one sweep point.
-
-    Returns ``(solution, payload)``: ``solution`` is None for an
-    infeasible point, mirroring the serial path's treatment, and
-    ``payload`` is the worker's :meth:`~repro.obs.Obs.export_payload`
-    when the parent observes the sweep (None otherwise).  The
-    persistent solve cache is worker-local and keyed by path, so the
-    JSON records load once per worker, not once per point.  Only the
-    *intended* infeasibilities are swallowed -- no feasible
-    organization, or a spec whose geometry cannot divide
-    (``InfeasibleOrganization``); any other error is a genuine model
-    failure and propagates (to be captured as a ``TaskFailure`` when a
-    resilience policy is active).
-    """
-    spec, target, cache_path, with_obs = payload
-    obs = Obs() if with_obs else None
-    try:
-        solution = solve(
-            spec,
-            target,
-            eval_cache=parallel.worker_eval_cache(),
-            solve_cache=parallel.worker_solve_cache(cache_path),
-            obs=obs,
-        )
-    except (NoFeasibleSolution, InfeasibleOrganization):
-        solution = None
-    return solution, obs.export_payload() if obs is not None else None
-
-
 def sweep(
     base: MemorySpec,
     parameter: str,
@@ -181,115 +146,57 @@ def sweep(
 ) -> SensitivityResult:
     """Re-solve ``base`` across ``values`` of ``parameter``.
 
-    One shared ``eval_cache`` spans the whole serial sweep (created when
-    omitted), so neighboring points reuse subarray and H-tree designs --
-    the reuse shows up in ``obs``'s ``eval_cache.subarray.*`` counters.
-    ``solve_cache`` persists whole point solves across sweeps (flushed
-    once per sweep, not per point); ``jobs > 1`` solves points
-    concurrently in worker processes (point order is preserved, numbers
-    unchanged); ``obs`` traces the sweep with one ``sweep.point`` span
-    per point and counts what the resilience engine did.
+    The points run through the fan-out engine exactly like a
+    :func:`~repro.core.cacti.solve_batch` (stage ``sweep.point``), so
+    in-process sweeps (``jobs`` resolving to 1) share one
+    ``eval_cache`` (created when omitted) -- neighboring points reuse
+    subarray designs, visible in ``obs``'s ``eval_cache.subarray.*``
+    counters -- and hold ``solve_cache`` open for one deferred flush;
+    ``jobs > 1`` solves points concurrently in worker processes (point
+    order is preserved, numbers unchanged).  ``obs`` traces the sweep
+    with one ``sweep.point`` span per solved point and counts what the
+    engine did.  An infeasible point -- no feasible organization, or a
+    value that makes the spec invalid -- comes back with
+    ``solution=None``.
 
-    ``resilience`` makes the sweep fault tolerant: failed points are
-    retried/skipped/raised per the policy, a journal checkpoints each
-    completed point (resuming re-solves only the unfinished ones), and
-    terminal failures land in the result's ``failed`` list with
-    ``solution=None`` at the corresponding point.
+    ``resilience`` (default: fail fast) makes the sweep fault tolerant:
+    failed points are retried/skipped/raised per the policy, a journal
+    checkpoints each completed point (resuming re-solves only the
+    unfinished ones), and terminal failures land in the result's
+    ``failed`` list with ``solution=None`` at the corresponding point.
     """
     if parameter not in SWEEPABLE:
         raise ValueError(
             f"cannot sweep {parameter!r}; choose one of {SWEEPABLE}"
         )
     # An invalid spec at some value (e.g. a capacity that does not
-    # divide into sets) counts as an infeasible point in either mode.
+    # divide into sets) is an infeasible point, never solved.
     specs: list[MemorySpec | None] = []
     for value in values:
         try:
             specs.append(replace(base, **{parameter: value}))
         except ValueError:
             specs.append(None)
-    live = sum(s is not None for s in specs)
-    jobs = parallel.effective_jobs(jobs, live)
-    solutions: list[Solution | None]
-    failures: list[TaskFailure] = []
+    live = [s for s in specs if s is not None]
+    jobs = parallel.effective_jobs(jobs, len(live))
     with maybe_span(
         obs, "sweep", parameter=parameter, points=len(specs), jobs=jobs
     ):
-        if resilience is None and (jobs == 1 or live <= 1):
-            if eval_cache is None:
-                eval_cache = EvalCache()
-            solutions = []
-            with solve_cache if solve_cache is not None else nullcontext():
-                for value, spec in zip(values, specs):
-                    solution = None
-                    if spec is not None:
-                        with maybe_span(
-                            obs, "sweep.point", value=_point_value(value)
-                        ):
-                            try:
-                                solution = solve(
-                                    spec,
-                                    target,
-                                    eval_cache=eval_cache,
-                                    solve_cache=solve_cache,
-                                    obs=obs,
-                                )
-                            except (
-                                NoFeasibleSolution,
-                                InfeasibleOrganization,
-                            ):
-                                solution = None
-                    solutions.append(solution)
-            # Drain the sweep-boundary flush the context exit above
-            # just performed.
-            _account_store(solve_cache, obs)
-        else:
-            cache_path = (
-                solve_cache.url if solve_cache is not None else None
-            )
-            live = [s for s in specs if s is not None]
-            keys = None
-            if resilience is not None and resilience.journal is not None:
-                keys = [
-                    task_key(
-                        "sweep.point",
-                        {
-                            "spec": spec,
-                            "target": target or OptimizationTarget(),
-                        },
-                    )
-                    for spec in live
-                ]
-            results = parallel.parallel_map(
-                _sweep_point_task,
-                [
-                    (spec, target, cache_path, obs is not None)
-                    for spec in live
-                ],
-                jobs,
-                obs=obs,
-                span_name="sweep.point",
-                resilience=resilience,
-                keys=keys,
-            )
-            results_iter = iter(results)
-            solutions = []
-            for spec in specs:
-                if spec is None:
-                    solutions.append(None)
-                    continue
-                outcome = next(results_iter)
-                if isinstance(outcome, TaskFailure):
-                    failures.append(outcome)
-                    solutions.append(None)
-                    continue
-                solution, worker_obs = outcome
-                solutions.append(solution)
-                if obs is not None:
-                    obs.absorb_worker(worker_obs)
-            if solve_cache is not None:
-                solve_cache.refresh()
-                _account_store(solve_cache, obs)
+        outcome = _solve_map(
+            live,
+            [target] * len(live),
+            stage="sweep.point",
+            tolerate_infeasible=True,
+            eval_cache=eval_cache,
+            solve_cache=solve_cache,
+            jobs=jobs,
+            obs=obs,
+            resilience=resilience,
+        )
+    solved = iter(outcome)
+    solutions = [
+        next(solved) if spec is not None else None for spec in specs
+    ]
     if obs is not None:
         obs.inc("sensitivity.points", len(specs))
         obs.inc(
@@ -305,7 +212,7 @@ def sweep(
             f"no feasible point in the {parameter} sweep"
         )
     return SensitivityResult(
-        parameter=parameter, points=points, failed=tuple(failures)
+        parameter=parameter, points=points, failed=outcome.failed
     )
 
 

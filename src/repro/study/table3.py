@@ -248,11 +248,10 @@ def _main_row(**knobs) -> Table3Row:
 def solve_table3(**knobs) -> dict[str, Table3Row]:
     """All Table 3 columns from the live CACTI-D model.
 
-    Keyword knobs (``solve_cache``, ``jobs``, ``obs``,
-    ``resilience``, ``cachedb``) pass through to every underlying cache
-    solve (``cachedb`` stops before the main-memory chip, whose
-    interface derivation the grid does not cover); knob-free calls are
-    memoized.
+    Keyword knobs (``solve_cache``, ``obs``, ``cachedb``) pass through
+    to every underlying cache solve (``cachedb`` stops before the
+    main-memory chip, whose interface derivation the grid does not
+    cover); knob-free calls are memoized.
 
     A ``resilience`` policy carrying a journal checkpoints the table at
     row granularity (stage ``"table3.row"``): each solved row is
@@ -263,7 +262,7 @@ def solve_table3(**knobs) -> dict[str, Table3Row]:
     ``kill`` degrades to an exception), which is how the test harness
     interrupts a table mid-build deterministically.
     """
-    resilience = knobs.get("resilience")
+    resilience = knobs.pop("resilience", None)
     journal = resilience.journal if resilience is not None else None
     builders = [
         ("L1", lambda: solve_l1(**knobs)),

@@ -85,7 +85,6 @@ def validate_ddr3(
     target: Ddr3Target | None = None,
     *,
     solve_cache=None,
-    jobs: int = 1,
     obs=None,
 ) -> Ddr3Validation:
     """Solve the Micron part and compute per-metric errors (Table 2).
@@ -95,8 +94,7 @@ def validate_ddr3(
     ``solve_cache``, ``obs`` tracer and metrics) pass
     straight through to :func:`~repro.core.cacti.solve_main_memory`, so
     the validation run is observable and cacheable exactly like any
-    other solve.  ``jobs`` is accepted and ignored: the single chip
-    always solves in-process.
+    other solve.
     """
     if target is None:
         target = DDR3_TARGET

@@ -7,6 +7,8 @@ the paper's Table-3 rows, and the DDR3 validation part -- captured
 tests re-solve the same inputs through the current code and assert
 field-for-field float equality, at several job counts: the registry is
 a pure re-plumbing of the technology axis and must change no numbers.
+The recorded solves run as one ``solve_batch`` per job count, so at
+jobs 2 and 4 they are solved by worker processes.
 
 JSON round-trips are exact (shortest-repr floats), so ``==`` on the
 re-encoded dicts is bit-identity, not approximation.
@@ -14,11 +16,12 @@ re-encoded dicts is bit-identity, not approximation.
 
 import dataclasses
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from repro.core.cacti import solve
+from repro.core.cacti import solve_batch
 from repro.core.config import (
     DENSITY_OPTIMIZED,
     ENERGY_DELAY_OPTIMIZED,
@@ -44,25 +47,41 @@ def reencode(payload):
     return json.loads(json.dumps(payload))
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 4])
-@pytest.mark.parametrize(
-    "record", GOLDEN["solves"], ids=[r["id"] for r in GOLDEN["solves"]]
-)
-def test_solves_match_golden(record, jobs):
-    """Every recorded solve reproduces bit-identically at any job count.
+def golden_batch() -> tuple[list, list]:
+    """The recorded solves as (specs, targets).
 
     The spec kwargs in the golden file use registry *names* for the
-    technologies; MemorySpec resolves them, so this test exercises the
-    full name -> handle -> traits path.
+    technologies; MemorySpec resolves them, so solving them exercises
+    the full name -> handle -> traits path.
     """
-    spec = MemorySpec(**record["spec"])
-    solution = solve(spec, TARGETS[record["target"]], jobs=jobs)
+    specs = [MemorySpec(**r["spec"]) for r in GOLDEN["solves"]]
+    targets = [TARGETS[r["target"]] for r in GOLDEN["solves"]]
+    return specs, targets
+
+
+@lru_cache(maxsize=None)
+def solved_at(jobs: int) -> tuple:
+    """Every recorded solve, as one batch at ``jobs`` (solved once)."""
+    return tuple(solve_batch(*golden_batch(), jobs=jobs))
+
+
+def assert_matches(solution, record) -> None:
     assert reencode(metrics_to_dict(solution.data)) == record["data"]
     tag = (
         reencode(metrics_to_dict(solution.tag))
         if solution.tag is not None else None
     )
     assert tag == record["tag"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+@pytest.mark.parametrize(
+    "record", GOLDEN["solves"], ids=[r["id"] for r in GOLDEN["solves"]]
+)
+def test_solves_match_golden(record, jobs):
+    """Every recorded solve reproduces bit-identically at any job count."""
+    solution = solved_at(jobs)[GOLDEN["solves"].index(record)]
+    assert_matches(solution, record)
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
@@ -80,18 +99,9 @@ def test_solves_match_golden_through_either_store(backend, jobs, tmp_path):
     )
     for _round in ("cold", "warm"):
         cache = SolveCache(store)
-        for record in GOLDEN["solves"]:
-            spec = MemorySpec(**record["spec"])
-            solution = solve(
-                spec, TARGETS[record["target"]], solve_cache=cache,
-                jobs=jobs,
-            )
-            assert reencode(metrics_to_dict(solution.data)) == record["data"]
-            tag = (
-                reencode(metrics_to_dict(solution.tag))
-                if solution.tag is not None else None
-            )
-            assert tag == record["tag"]
+        solutions = solve_batch(*golden_batch(), solve_cache=cache, jobs=jobs)
+        for solution, record in zip(solutions, GOLDEN["solves"]):
+            assert_matches(solution, record)
         cache.close()
 
 

@@ -187,3 +187,94 @@ class TestParallelSensitivity:
         capacity_sweep(self.BASE, factors=(1, 2), obs=obs, jobs=2)
         assert stats.workers_absorbed == 2
         assert stats.feasible > 0
+
+
+class TestOneEngine:
+    """Every batch runs through one engine, whatever the policy."""
+
+    SPECS = [
+        MemorySpec(capacity_bytes=32 << 10, block_bytes=64,
+                   associativity=8, node_nm=32.0),
+        MemorySpec(capacity_bytes=64 << 10, block_bytes=64,
+                   associativity=8, node_nm=32.0),
+    ]
+
+    def _run_twice(self, tmp_path, resilience):
+        cache = SolveCache(f"sqlite:{tmp_path / 'solves.db'}")
+        obs = Obs()
+        runs = [
+            solve_batch(self.SPECS, solve_cache=cache, jobs=1, obs=obs,
+                        resilience=resilience)
+            for _ in range(2)
+        ]
+        cache.close()
+        return runs, cache, obs.metrics.snapshot()
+
+    def test_default_and_explicit_policy_are_one_path(self, tmp_path):
+        from repro.core.resilience import ResiliencePolicy
+
+        plain = self._run_twice(tmp_path / "plain", None)
+        policy = self._run_twice(tmp_path / "policy", ResiliencePolicy())
+        (plain_runs, plain_cache, plain_snap) = plain
+        (policy_runs, policy_cache, policy_snap) = policy
+        for a, b in zip(plain_runs, policy_runs):
+            assert [(s.data, s.tag) for s in a] == [
+                (s.data, s.tag) for s in b
+            ]
+
+        def counters(snap):
+            return {
+                name: value for name, value in snap["counters"].items()
+                if not name.startswith("resilience.")
+            }
+
+        assert counters(plain_snap) == counters(policy_snap)
+        assert set(plain_snap["histograms"]) == set(
+            policy_snap["histograms"]
+        )
+        assert not any(
+            name.startswith("worker.") for name in policy_snap["histograms"]
+        )
+        # Two specs, data + tag arrays each: cold, then warm.
+        for cache in (plain_cache, policy_cache):
+            assert (cache.hits, cache.misses) == (4, 4)
+        assert (
+            plain_snap["counters"]["store.flush_writes"]
+            == policy_snap["counters"]["store.flush_writes"]
+        )
+        # In-process tasks used the caller's caches, never worker ones.
+        assert parallel._WORKER_SOLVE_CACHES == {}
+        assert parallel._WORKER_EVAL_CACHE is None
+
+    def test_resume_does_not_recount_restored_work(self, tmp_path):
+        from repro.core.resilience import Journal, ResiliencePolicy
+
+        path = tmp_path / "batch.journal"
+        first = ResiliencePolicy(journal=Journal(path))
+        solved = solve_batch(self.SPECS, jobs=1, obs=Obs(),
+                             resilience=first)
+        first.journal.close()
+        assert solved.restored == 0
+
+        obs = Obs()
+        resumed = ResiliencePolicy(journal=Journal(path))
+        restored = solve_batch(self.SPECS, jobs=1, obs=obs,
+                               resilience=resumed)
+        resumed.journal.close()
+        assert restored.restored == 2
+        assert [(s.data, s.tag) for s in restored] == [
+            (s.data, s.tag) for s in solved
+        ]
+        c = obs.metrics.snapshot()["counters"]
+        assert c["resilience.journal_restored"] == 2
+        assert c.get("optimizer.built", 0) == 0
+        assert c.get("workers.absorbed", 0) == 0
+        assert "solve" not in [d["name"] for d in obs.tracer.to_dicts()]
+
+    def test_pooled_sweep_reports_worker_utilization(self):
+        obs = Obs()
+        capacity_sweep(self.SPECS[0], factors=(1, 2), obs=obs, jobs=2)
+        utilization = obs.metrics.snapshot()["gauges"][
+            "parallel.worker_utilization"
+        ]
+        assert 0.0 < utilization <= 1.0

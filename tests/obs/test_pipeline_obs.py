@@ -75,7 +75,7 @@ class TestSolveSpanTaxonomy:
 class TestWorkerStitching:
     def test_serial_trace_is_single_process(self):
         obs = Obs()
-        solve(SPEC, obs=obs, jobs=1)
+        solve(SPEC, obs=obs)
         assert {d["pid"] for d in obs.tracer.to_dicts()} == {os.getpid()}
 
     def test_parallel_trace_stitches_worker_spans(self):
@@ -103,7 +103,7 @@ class TestWorkerStitching:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_counters_identical_at_any_job_count(self, jobs):
         obs = Obs()
-        solve(SPEC, obs=obs, jobs=jobs)
+        solve_batch([SPEC, SPEC], obs=obs, jobs=jobs)
         c = obs.metrics.snapshot()["counters"]
         # The work done is the same; only who does it changes.
         assert (
