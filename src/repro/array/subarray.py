@@ -341,6 +341,3 @@ class Subarray:
         """
         if self.traits.sensing is SensingScheme.CHARGE_SHARE:
             _ = self.t_sense  # triggers the signal-margin check
-
-    #: Pre-registry name of :meth:`check_sense_feasible`.
-    check_dram_feasible = check_sense_feasible

@@ -5,10 +5,17 @@ drivers, and H-tree branch drivers.  A chain is sized with
 :mod:`repro.circuits.logical_effort`, realized as concrete gates, and then
 evaluated for delay (Horowitz, slope-propagated), dynamic energy, leakage,
 and layout area (optionally pitch-matched/folded).
+
+A sweep sizes the same few chains for thousands of candidate subarrays,
+across specs as well as within one, so :func:`build_chain` is memoized
+process-wide in a bounded LRU (:data:`CHAIN_MEMO_SIZE` entries).  Equal
+inputs run the same float operations and the result is frozen, so a
+memo hit is bit-identical to a fresh build.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.circuits import logical_effort as le
@@ -16,7 +23,12 @@ from repro.circuits.gates import Gate, horowitz, inverter, min_width, nand
 from repro.tech.devices import DeviceParams
 
 
-@dataclass(frozen=True)
+#: Entries in the process-wide :func:`build_chain` memo.  Worker
+#: processes each hold their own.
+CHAIN_MEMO_SIZE = 1024
+
+
+@dataclass(frozen=True, slots=True)
 class ChainMetrics:
     """Evaluated properties of a sized driver chain."""
 
@@ -29,7 +41,7 @@ class ChainMetrics:
     c_in: float  #: input capacitance presented to the previous stage (F)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WireLoad:
     """A distributed RC wire hanging off the chain output."""
 
@@ -47,6 +59,40 @@ def _widths_from_cap(device: DeviceParams, c_in: float) -> float:
     return c_in / (device.c_gate * (1.0 + device.n_to_p_ratio))
 
 
+def _memoized(build):
+    """Wrap ``build`` in the bounded, process-wide chain memo.
+
+    Every call is keyed on the same flat tuple of values, whether its
+    arguments came positionally or by keyword: the wire enters as its
+    resistance and capacitance.  ``typed=True`` keeps equal values of
+    different types (``3`` and ``3.0`` gate inputs) apart.  The wrapper
+    exposes ``cache_info``/``cache_clear`` and the unmemoized
+    ``__wrapped__``.
+    """
+
+    @functools.lru_cache(maxsize=CHAIN_MEMO_SIZE, typed=True)
+    def cached(device, feature_size, c_load, wire_r, wire_c,
+               first_gate_inputs, pitch, c_in_floor, voltage_swing):
+        wire = None if wire_r is None else WireLoad(wire_r, wire_c)
+        return build(device, feature_size, c_load, wire, first_gate_inputs,
+                     pitch, c_in_floor, voltage_swing)
+
+    @functools.wraps(build)
+    def memo(device, feature_size, c_load, wire=None, first_gate_inputs=1,
+             pitch=None, c_in_floor=None, voltage_swing=None):
+        if wire is None:
+            wire_r = wire_c = None
+        else:
+            wire_r, wire_c = wire.resistance, wire.capacitance
+        return cached(device, feature_size, c_load, wire_r, wire_c,
+                      first_gate_inputs, pitch, c_in_floor, voltage_swing)
+
+    memo.cache_info = cached.cache_info
+    memo.cache_clear = cached.cache_clear
+    return memo
+
+
+@_memoized
 def build_chain(
     device: DeviceParams,
     feature_size: float,

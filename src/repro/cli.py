@@ -19,9 +19,11 @@ Usage::
     python -m repro cachedb query db.json --capacity 96K --node 38
     python -m repro cachedb info db.json
 
-Sizes accept K/M/G suffixes (powers of two).  Long runs take
-``--on-error {raise,skip,retry}``, ``--retries``, ``--task-timeout``,
-and ``--resume PATH`` (checkpoint journal) fault-tolerance knobs.
+Sizes accept K/M/G suffixes (powers of two).  The subcommands that map
+many tasks (``table3``, ``study``, ``sweep``, ``cachedb build``) take
+the ``--on-error {raise,skip,retry}``, ``--retries``, ``--task-timeout``
+and ``--resume PATH`` (checkpoint journal) fault-tolerance knobs;
+``cache`` and ``main-memory`` solve one spec in-process and fail fast.
 """
 
 from __future__ import annotations
@@ -303,9 +305,10 @@ def _build_parser() -> argparse.ArgumentParser:
             help="write a JSON metrics snapshot of the run (counters, "
                  "gauges, latency histograms, cache hit rates)",
         )
-    # Fault-tolerance knobs (the validate command solves a fixed small
-    # set serially, so it keeps the plain fail-fast path).
-    for solver in (cache, mm, table3, study, sweep, cdb_build):
+    # Fault-tolerance knobs, for the subcommands that map many tasks.
+    # cache and main-memory solve one spec and validate-ddr3 a fixed
+    # small set, in-process, so they keep the plain fail-fast path.
+    for solver in (table3, study, sweep, cdb_build):
         solver.add_argument(
             "--on-error", default="raise", choices=ON_ERROR_POLICIES,
             dest="on_error",

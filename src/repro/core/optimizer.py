@@ -44,6 +44,7 @@ from repro.array.organization import (
     prefilter_grid,
     prefilter_org,
 )
+from repro.circuits.drivers import build_chain
 from repro.core.config import OptimizationTarget
 from repro.core.solvecache import account_store as _account_store
 from repro.obs import MetricsRegistry, Obs
@@ -64,6 +65,8 @@ _COUNTERS = {
     "feasible": "optimizer.feasible",  # designs that reached ranking
     "subarray_hits": "eval_cache.subarray.hits",
     "subarray_misses": "eval_cache.subarray.misses",
+    "chain_memo_hits": "circuits.chain_memo.hits",  # process-wide memo
+    "chain_memo_misses": "circuits.chain_memo.misses",
     "solve_cache_hits": "solve_cache.hits",  # whole solves from disk
     "solve_cache_misses": "solve_cache.misses",
     "store_evictions": "store.evictions",  # LRU-evicted store records
@@ -138,14 +141,18 @@ class SweepStats:
 
     @property
     def subarray_hit_rate(self) -> float:
-        total = self.subarray_hits + self.subarray_misses
-        return self.subarray_hits / total if total else 0.0
+        return _hit_rate(self.subarray_hits, self.subarray_misses)
+
+    @property
+    def chain_memo_hit_rate(self) -> float:
+        return _hit_rate(self.chain_memo_hits, self.chain_memo_misses)
 
     def as_dict(self) -> dict:
         return {
             **{name: getattr(self, name) for name in _COUNTERS},
             "prefilter_rate": self.prefilter_rate,
             "subarray_hit_rate": self.subarray_hit_rate,
+            "chain_memo_hit_rate": self.chain_memo_hit_rate,
             "wall_time_s": self.wall_time_s,
             "worker_time_s": self.worker_time_s,
             "phase_times": self.phase_times,
@@ -164,6 +171,9 @@ class SweepStats:
             f"subarray cache        : {self.subarray_hits} hits / "
             f"{self.subarray_misses} misses "
             f"({self.subarray_hit_rate * 100:.1f}%)",
+            f"chain memo            : {self.chain_memo_hits} hits / "
+            f"{self.chain_memo_misses} misses "
+            f"({self.chain_memo_hit_rate * 100:.1f}%)",
             f"solve cache           : {self.solve_cache_hits} hits / "
             f"{self.solve_cache_misses} misses",
             f"wall time             : {self.wall_time_s * 1e3:.1f} ms",
@@ -195,35 +205,43 @@ class SweepStats:
         return "\n".join(lines)
 
 
-def _eval_cache_counts(cache: EvalCache) -> tuple[int, int]:
-    return cache.subarray_hits, cache.subarray_misses
+def _hit_rate(hits: int, misses: int) -> float:
+    total = hits + misses
+    return hits / total if total else 0.0
 
 
-_EVAL_CACHE_METRICS = (
-    "eval_cache.subarray.hits",
-    "eval_cache.subarray.misses",
-)
+def _memo_counts(cache: EvalCache | None) -> dict[str, int]:
+    """The memo counters one sweep reports as deltas: the process-wide
+    driver-chain memo's, and the eval cache's when there is one."""
+    chains = build_chain.cache_info()
+    counts = {
+        "circuits.chain_memo.hits": chains.hits,
+        "circuits.chain_memo.misses": chains.misses,
+    }
+    if cache is not None:
+        counts["eval_cache.subarray.hits"] = cache.subarray_hits
+        counts["eval_cache.subarray.misses"] = cache.subarray_misses
+    return counts
 
 
 def _account(
     obs: Obs | None,
     cache: EvalCache | None,
-    eval_before: tuple | None,
+    memo_before: dict[str, int],
     **counts: int,
 ) -> None:
-    """Record one sweep's candidate counts and eval-cache deltas.
+    """Record one sweep's candidate counts and memo deltas.
 
-    ``counts`` land in ``obs`` as ``optimizer.<name>``; the cache
-    deltas are taken against ``eval_before``.
+    ``counts`` land in ``obs`` as ``optimizer.<name>``; the memo
+    deltas are taken against ``memo_before``, a :func:`_memo_counts`
+    snapshot.
     """
     if obs is None:
         return
     for name, n in counts.items():
         obs.inc(f"optimizer.{name}", n)
-    if cache is not None:
-        now = _eval_cache_counts(cache)
-        for name, after, before in zip(_EVAL_CACHE_METRICS, now, eval_before):
-            obs.inc(name, after - before)
+    for name, after in _memo_counts(cache).items():
+        obs.inc(name, after - memo_before[name])
 
 
 def _no_feasible(spec: ArraySpec) -> NoFeasibleSolution:
@@ -260,7 +278,7 @@ def feasible_designs(
     spans and candidate/cache metrics.  None of them affects the
     returned metrics.
     """
-    eval_before = _eval_cache_counts(cache) if cache is not None else None
+    memo_before = _memo_counts(cache)
     with obs_phase("prefilter", obs):
         if orgs is None and prefilter:
             enumerated = org_grid_size(spec)
@@ -289,7 +307,7 @@ def feasible_designs(
             except (InfeasibleOrganization, InfeasibleSubarray):
                 infeasible += 1
     _account(
-        obs, cache, eval_before,
+        obs, cache, memo_before,
         enumerated=enumerated,
         prefiltered=enumerated - len(candidates),
         built=len(candidates),
@@ -408,9 +426,9 @@ def _ranked_designs(
     batch and constructs full :class:`ArrayMetrics` objects only for
     the top ``limit`` ranked candidates (all of them when ``limit`` is
     None).  Counter accounting matches the scalar
-    :func:`feasible_designs`: eval-cache deltas are taken *before*
-    winner materialization, so ``subarray_hits + subarray_misses ==
-    built`` holds.
+    :func:`feasible_designs`: eval-cache and chain-memo deltas are
+    taken *before* winner materialization, so ``subarray_hits +
+    subarray_misses == built`` holds.
     """
     # The kernels (and numpy) load on the first live solve, so solve-
     # store and cachedb hits never pay for them.
@@ -418,12 +436,12 @@ def _ranked_designs(
 
     with obs_phase("prefilter", obs):
         batch = kernels.survivor_batch(spec)
-    eval_before = _eval_cache_counts(eval_cache)
+    memo_before = _memo_counts(eval_cache)
     with obs_phase("build", obs, candidates=batch.size):
         ev = kernels.evaluate_batch(tech, spec, batch, eval_cache)
     grid = org_grid_size(spec)
     _account(
-        obs, eval_cache, eval_before,
+        obs, eval_cache, memo_before,
         enumerated=grid,
         prefiltered=grid - batch.size,
         built=batch.size,

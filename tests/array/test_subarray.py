@@ -101,7 +101,7 @@ class TestTiming:
         """Extremely long bitlines starve the sense signal."""
         sub = make(CellTech.LP_DRAM, rows=16384)
         with pytest.raises(InfeasibleSubarray):
-            sub.check_dram_feasible()
+            sub.check_sense_feasible()
 
 
 class TestEnergyAndLeakage:

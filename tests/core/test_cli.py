@@ -172,9 +172,11 @@ class TestObservabilityFlags:
             ("feasible designs", "optimizer.feasible"),
         ):
             assert int(printed[label].split()[0]) == counters[name], label
-        hits, _, rest = printed["subarray cache"].partition(" hits / ")
-        assert int(hits) == counters["eval_cache.subarray.hits"]
-        assert int(rest.split()[0]) == counters["eval_cache.subarray.misses"]
+        for label, name in (("subarray cache", "eval_cache.subarray"),
+                            ("chain memo", "circuits.chain_memo")):
+            hits, _, rest = printed[label].partition(" hits / ")
+            assert int(hits) == counters[f"{name}.hits"], label
+            assert int(rest.split()[0]) == counters[f"{name}.misses"], label
         assert counters["optimizer.enumerated"] > 0
 
     def test_metrics_report_solve_cache_hit_rate(self, tmp_path, capsys):
@@ -331,8 +333,24 @@ class TestResilienceFlags:
     def test_bad_on_error_value_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main([
-                "cache", "--capacity", "256K", "--on-error", "explode",
+                "sweep", "--capacity", "256K", "--parameter", "node_nm",
+                "--values", "32,45", "--on-error", "explode",
             ])
+        assert "invalid choice: 'explode'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,has_flags", [
+        ("cache", False), ("main-memory", False), ("validate-ddr3", False),
+        ("sweep", True), ("table3", True),
+    ])
+    def test_fault_tolerance_flags_only_where_tasks_map(
+        self, command, has_flags, capsys
+    ):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        for flag in ("--on-error", "--retries", "--task-timeout",
+                     "--resume"):
+            assert (flag in usage) == has_flags, flag
 
 
 class TestCacheStoreCli:
