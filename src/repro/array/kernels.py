@@ -1,18 +1,21 @@
 """Vectorized survivor-batch evaluation kernels.
 
-The optimizer's serial inner loop used to build one Python object stack
-(`_Builder` -> `Subarray` -> `HTree` -> `ArrayMetrics`) per prefilter
-survivor -- ~12-15 % of the enumerated grid, thousands of candidates per
-solve.  This module recasts that per-candidate composition as numpy
-array arithmetic over *all* survivors at once:
+The optimizer scores every prefilter survivor of a spec -- ~12-15 % of
+the enumerated grid, thousands of candidates per solve.  This module
+computes those scores as numpy array arithmetic over all survivors at
+once, without building per-candidate or per-subarray objects:
 
 * :func:`survivor_batch` wraps the raw arrays of
   :func:`~repro.array.organization.survivor_arrays` (the vectorized
   structural pre-filter) without materializing ``OrgParams`` /
   ``OrgGeometry`` objects;
-* :func:`evaluate_batch` computes bitline/sense/decode/H-tree delays,
-  per-access energies, leakage, refresh power, and area for the whole
-  batch as float64 arrays;
+* :func:`subarray_table` computes the per-subarray quantities --
+  geometry, bitline RC, sense/restore/precharge timing and energy,
+  leakage, and the sense-feasible mask -- over every unique
+  ``(rows, cols)`` shape as one array computation;
+* :func:`evaluate_batch` gathers that table onto the candidates and
+  composes bitline/sense/decode/H-tree delays, per-access energies,
+  leakage, refresh power, and area as float64 arrays;
 * :func:`rank_batch` applies the staged area/access-time constraints
   and the normalized weighted ranking on the arrays.
 
@@ -22,25 +25,29 @@ only for the winner(s) the caller materializes afterwards -- see
 
 Determinism / bit-identity contract
 -----------------------------------
-Per-candidate arithmetic in the scalar path uses only ``+ * / max`` on
-float64 (plus exact int-to-float conversions), and numpy performs the
-identical IEEE-754 operation elementwise, so every kernel here mirrors
-the scalar expression *operation for operation, in the same
-left-associative order*.  Quantities whose formulas involve logs or
-iterative sizing (decoder chains, sense timing, bitline RC) are never
-recomputed: they are gathered from the same frozen
-:class:`~repro.array.subarray.Subarray` objects the scalar path builds,
-one per *unique* ``(rows, cols)`` -- via the shared
-:class:`~repro.array.organization.EvalCache` -- and broadcast by
-gather.  H-tree levels use an exact integer ``frexp`` ceil-log2.  The
-result: ranking picks the same winner index the scalar sweep picks, and
-the materialized winner is bit-identical.  The scalar reference these
-kernels are tested against is
-:func:`~repro.core.optimizer.feasible_designs`.
+The scalar objects are the reference:
+:class:`~repro.array.subarray.Subarray` for the table and
+``organization._Builder`` for the composition.  Their arithmetic uses
+only ``+ - * / max`` on float64 (plus exact int-to-float conversions),
+and numpy performs the identical IEEE-754 operation elementwise, so
+every kernel here mirrors the scalar expression *operation for
+operation, in the same left-associative order*.  Transcendentals stay
+scalar, because numpy's ``log``/``power``/``exp`` need not round like
+:mod:`math`'s: the charge-share sense time takes ``math.log`` per
+element, each feasible shape's row decoder (logical-effort sizing) is
+designed by the scalar
+:func:`~repro.circuits.decoder.design_decoder` through the memoized
+driver chains, and H-tree levels use an exact integer ``frexp``
+ceil-log2.  The result: ranking picks the same winner index the scalar
+sweep picks, and the materialized winner is bit-identical.  The scalar
+references these kernels are tested against are
+:func:`~repro.core.optimizer.feasible_designs` and ``Subarray``
+itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as _np
@@ -59,9 +66,25 @@ from repro.array.organization import (
     OrgParams,
     survivor_arrays,
 )
-from repro.array.subarray import InfeasibleSubarray
+from repro.array.subarray import (
+    _DRIVER_STRIP_F,
+    _PRECHARGE_WIDTH_F,
+    _RESTORE_SLOWDOWN,
+    _T_SETTLE,
+    _T_SETTLE_PRECISE,
+)
+from repro.circuits.decoder import WordlineLoad, design_decoder
+from repro.circuits.drivers import WireLoad
 from repro.circuits.repeaters import repeated_wire
+from repro.circuits.senseamp import (
+    MIN_CHARGE_SHARE_SIGNAL,
+    SenseAmp,
+    charge_share_signal,
+)
+from repro.tech.cells import CellParams
+from repro.tech.devices import TEMPERATURE_LEAKAGE_FACTOR
 from repro.tech.nodes import Technology
+from repro.tech.registry import SensingScheme
 
 
 def enabled() -> bool:
@@ -181,6 +204,193 @@ class EvaluatedBatch:
         return int(self.t_access.shape[0])
 
 
+#: The subarray-table columns that depend only on an
+#: :class:`~repro.array.organization.EvalCache` key -- ``(rows, cols)``,
+#: cell technology, periphery and node -- in storage order.  The write
+#: energy also depends on the spec's ``output_bits``, so it is derived
+#: from ``blcap`` after the gather (:func:`write_bitline_energy`).
+TABLE_COLUMNS = (
+    "width", "height", "area", "cell_area", "blcap",
+    "dec_delay", "wl_delay", "e_wordline", "t_bitline", "t_sense",
+    "t_writeback", "t_precharge", "e_sense_per_pair",
+    "leak_fixed", "amp_leak",
+)
+_COLUMN_INDEX = {name: j for j, name in enumerate(TABLE_COLUMNS)}
+
+
+@dataclass
+class SubarrayTable:
+    """Per-shape subarray quantities, one row per ``(rows, cols)``.
+
+    Row ``u`` of ``values`` holds, in :data:`TABLE_COLUMNS` order, what
+    the same-shaped :class:`~repro.array.subarray.Subarray` reports
+    (``blcap`` is its ``bitline_capacitance``; ``dec_delay``,
+    ``wl_delay`` and ``e_wordline`` come from its decoder;
+    ``amp_leak`` is one sense amp's leakage), bit for bit.  Rows that
+    fail the charge-share sense-signal check are zero, with
+    ``feasible`` False and no decoder.
+    """
+
+    feasible: "object"  #: bool array, ``check_sense_feasible`` passes
+    values: "object"  #: float64 array, shape (n, len(TABLE_COLUMNS))
+    decoders: list  #: DecoderMetrics per row, None where infeasible
+
+    def column(self, name: str):
+        return self.values[:, _COLUMN_INDEX[name]]
+
+
+def subarray_table(
+    tech: Technology, spec: ArraySpec, rows, cols
+) -> SubarrayTable:
+    """The subarray quantities of every shape ``(rows[u], cols[u])``.
+
+    ``rows`` and ``cols`` are int64 arrays; only the spec's cell
+    technology and periphery matter.  Each expression mirrors the
+    same-named ``Subarray`` property (see the module docstring); the
+    sense-amp formulas are the scalar :class:`SenseAmp` methods
+    themselves, applied to arrays.
+    """
+    periph = tech.device(spec.periph_device_type)
+    cell = tech.cell(spec.cell_tech, spec.periph_device_type)
+    traits = cell.tech.traits
+    f = tech.feature_size
+    amp = SenseAmp(periph, f)
+    n = len(rows)
+
+    # --- geometry -------------------------------------------------------
+    cell_array_height = rows * cell.height
+    width = cols * cell.width + _DRIVER_STRIP_F * f
+    height = cell_array_height + traits.sense_strip_height_f * f
+    cell_area = rows * cols * cell.area
+
+    # --- bitline electricals --------------------------------------------
+    bl_wire = tech.bitline_wire(cell.tech)
+    junction = cell.access_c_drain * cell.access_width + cell.access_c_junction
+    if traits.folded_bitline:
+        junction = 0.5 * junction
+    blcap = rows * (junction + bl_wire.c_per_m * cell.height)
+    blres = rows * bl_wire.r_per_m * cell.height
+
+    # --- sensing ----------------------------------------------------------
+    if traits.sensing is SensingScheme.CHARGE_SHARE:
+        signal = charge_share_signal(cell.storage_cap, blcap, cell.vdd_cell)
+        feasible = ~(signal < MIN_CHARGE_SHARE_SIGNAL)
+        r_access = cell.access_r_channel / cell.access_width
+        c_share = cell.storage_cap * blcap / (cell.storage_cap + blcap)
+        t_bitline = _T_SETTLE * (r_access + blres / 2.0) * c_share
+        # SenseAmp.restore_delay, with math.log per element.
+        ratio = cell.vdd_cell / signal
+        log_ratio = _np.array([math.log(v) for v in ratio.tolist()])
+        t_sense = amp.r_latch * (blcap + amp.c_internal) * log_ratio
+        e_sense_per_pair = amp.restore_energy(blcap, cell.vdd_cell)
+    else:
+        feasible = _np.ones(n, dtype=bool)
+        swing = 0.10 * periph.vdd
+        discharge = blcap * swing / cell.read_current
+        t_bitline = discharge + 0.38 * blres * blcap
+        t_sense = _np.full(n, amp.latch_delay())
+        e_sense_per_pair = amp.latch_energy(blcap)
+    if traits.destructive_read:
+        r_access = cell.access_r_channel / cell.access_width
+        t_writeback = (
+            _T_SETTLE * _RESTORE_SLOWDOWN * r_access * cell.storage_cap
+        )
+    else:
+        t_writeback = traits.write_pulse_time
+    r_pre = periph.r_eff / (_PRECHARGE_WIDTH_F * f)
+    swing_factor = traits.precharge_swing_fraction
+    settle = _T_SETTLE_PRECISE if traits.precise_precharge else _T_SETTLE
+    t_precharge = settle * r_pre * blcap * swing_factor + 0.38 * (
+        blres * blcap * swing_factor
+    )
+
+    # --- row decode: one scalar design per feasible shape ----------------
+    local = tech.local
+    c_gate = (
+        traits.wordline_gates_per_cell * cell.access_width * periph.c_gate
+    )
+    wl_c = cols * (c_gate + local.c_per_m * cell.width)
+    wl_r = cols * local.r_per_m * cell.width
+    predec_r = tech.semi_global.r_per_m * cell_array_height
+    predec_c = tech.semi_global.c_per_m * cell_array_height
+    decoders = [None] * n
+    designed = []
+    columns = zip(feasible.tolist(), rows.tolist(), wl_r.tolist(),
+                  wl_c.tolist(), predec_r.tolist(), predec_c.tolist())
+    for u, (ok, r, wr, wc, pr, pc) in enumerate(columns):
+        if not ok:
+            continue
+        decoder = design_decoder(
+            periph, f, r,
+            WordlineLoad(wr, wc, cell.height, cell.wordline_voltage),
+            WireLoad(pr, pc),
+        )
+        decoders[u] = decoder
+        designed.append((decoder.delay, decoder.wordline_delay,
+                         decoder.energy, decoder.area, decoder.leakage))
+    dec = _np.zeros((n, 5))
+    if designed:
+        dec[feasible] = designed
+    dec_delay, wl_delay, e_wordline, dec_area, dec_leak = dec.T
+
+    cell_leak = (
+        rows * cols * cell.access_i_off * TEMPERATURE_LEAKAGE_FACTOR
+        * cell.access_width * cell.vdd_cell
+    )
+    cell_leak *= traits.cell_leak_paths
+
+    values = _np.empty((n, len(TABLE_COLUMNS)))
+    for j, column in enumerate((
+        width, height, width * height + dec_area, cell_area, blcap,
+        dec_delay, wl_delay, e_wordline, t_bitline, t_sense,
+        t_writeback, t_precharge, e_sense_per_pair,
+        cell_leak + dec_leak, amp.leakage(),
+    )):
+        values[:, j] = column
+    values[~feasible] = 0.0
+    return SubarrayTable(feasible=feasible, values=values, decoders=decoders)
+
+
+def write_bitline_energy(cell: CellParams, num_written: int, blcap):
+    """``Subarray.e_write_bitlines`` over a ``blcap`` array (J)."""
+    vdd = cell.vdd_cell
+    swing_fraction = cell.tech.traits.write_swing_fraction
+    return num_written * blcap * vdd * vdd * swing_fraction
+
+
+def _cached_table(
+    tech: Technology, spec: ArraySpec, rows, cols, cache: EvalCache
+) -> tuple:
+    """``(feasible, values)`` of :func:`subarray_table` over unique
+    shapes, evaluating only the shapes ``cache`` has not seen.
+
+    Records one cache lookup per shape and stores each new row, with
+    its decoder, for later batches and winner materialization.
+    """
+    shapes = list(zip(rows.tolist(), cols.tolist()))
+    entries = cache.table_rows(tech, spec, shapes)
+    missing = [u for u, entry in enumerate(entries) if entry is None]
+    if missing:
+        fresh = subarray_table(tech, spec, rows[missing], cols[missing])
+        new = [
+            (values if decoder is not None else None, decoder)
+            for values, decoder in zip(fresh.values.tolist(), fresh.decoders)
+        ]
+        cache.store_table_rows(
+            tech, spec, [shapes[u] for u in missing], new
+        )
+        for u, entry in zip(missing, new):
+            entries[u] = entry
+    known = [values for values, decoder in entries if decoder is not None]
+    feasible = _np.array(
+        [decoder is not None for _, decoder in entries], dtype=bool
+    )
+    values = _np.zeros((len(shapes), len(TABLE_COLUMNS)))
+    if known:
+        values[feasible] = known
+    return feasible, values
+
+
 def _htree_levels_array(num_mats):
     """Exact ``max(1, ceil(log2(max(n, 2))))`` for an int64 array.
 
@@ -204,63 +414,31 @@ def evaluate_batch(
 
     Mirrors ``organization._Builder.metrics()`` operation for
     operation; see the module docstring for the bit-identity argument.
-    ``cache`` receives exactly the subarray hit/miss counts the scalar
-    sweep would record (one lookup per candidate); H-tree designs are
-    replaced by closed-form array arithmetic over the one memoized
-    :class:`~repro.circuits.repeaters.RepeatedWireDesign`, so tree
-    counters advance only when winners are materialized afterwards.
+    The subarray quantities come from one :func:`subarray_table` over
+    the unique ``(rows, cols)`` shapes the cache has not seen yet;
+    shapes it has seen are gathered from its table tier.  No
+    ``Subarray`` object is built.  ``cache`` receives exactly the
+    subarray hit/miss counts the scalar sweep would record (one lookup
+    per candidate, a miss for each shape new to the cache); H-tree
+    designs are replaced by closed-form array arithmetic over the one
+    memoized :class:`~repro.circuits.repeaters.RepeatedWireDesign`, so
+    tree counters advance only when winners are materialized
+    afterwards.
     """
     periph = tech.device(spec.periph_device_type)
     cell = tech.cell(spec.cell_tech, spec.periph_device_type)
     traits = spec.cell_tech.traits
 
     # --- per-unique subarray table -----------------------------------
-    # Many candidates share one (rows, cols) subarray; the scalar sweep
-    # resolves each through the EvalCache.  Solve each unique once and
-    # gather, replicating the cache counters the per-candidate lookups
-    # would have produced.
+    # Many candidates share one (rows, cols) subarray: evaluate each
+    # unique shape once, as one table, and gather.  The cache sees one
+    # lookup per candidate, as the scalar sweep records them.
     key = batch.rows * (MAX_COLS + 1) + batch.cols
-    unique_keys, inverse, counts = _np.unique(
-        key, return_inverse=True, return_counts=True
-    )
+    unique_keys, inverse = _np.unique(key, return_inverse=True)
     rows_u = unique_keys // (MAX_COLS + 1)
     cols_u = unique_keys % (MAX_COLS + 1)
-    n_unique = len(unique_keys)
-
-    feasible_u = _np.zeros(n_unique, dtype=bool)
-    per_unique = {
-        name: _np.zeros(n_unique, dtype=_np.float64)
-        for name in (
-            "width", "height", "area", "cell_area", "blcap",
-            "dec_delay", "wl_delay", "e_wordline", "t_bitline", "t_sense",
-            "t_writeback", "t_precharge", "e_sense_per_pair", "e_writebl",
-            "leak_fixed", "amp_leak",
-        )
-    }
-    for u in range(n_unique):
-        sub = cache.subarray(tech, spec, int(rows_u[u]), int(cols_u[u]))
-        cache.subarray_hits += int(counts[u]) - 1
-        try:
-            sub.check_sense_feasible()
-        except InfeasibleSubarray:
-            continue
-        feasible_u[u] = True
-        per_unique["width"][u] = sub.width
-        per_unique["height"][u] = sub.height
-        per_unique["area"][u] = sub.area
-        per_unique["cell_area"][u] = sub.cell_area
-        per_unique["blcap"][u] = sub.bitline_capacitance
-        per_unique["dec_delay"][u] = sub.decoder.delay
-        per_unique["wl_delay"][u] = sub.decoder.wordline_delay
-        per_unique["e_wordline"][u] = sub.e_wordline
-        per_unique["t_bitline"][u] = sub.t_bitline
-        per_unique["t_sense"][u] = sub.t_sense
-        per_unique["t_writeback"][u] = sub.t_writeback
-        per_unique["t_precharge"][u] = sub.t_precharge
-        per_unique["e_sense_per_pair"][u] = sub.e_sense_per_pair
-        per_unique["e_writebl"][u] = sub.e_write_bitlines(spec.output_bits)
-        per_unique["leak_fixed"][u] = sub.leakage_fixed
-        per_unique["amp_leak"][u] = sub.sense_amp.leakage()
+    feasible_u, table = _cached_table(tech, spec, rows_u, cols_u, cache)
+    cache.subarray_hits += batch.size - len(unique_keys)
 
     buildable = feasible_u[inverse]
     n_infeasible = int(batch.size - _np.count_nonzero(buildable))
@@ -269,7 +447,7 @@ def evaluate_batch(
     inv = inverse[keep]
 
     def g(name):
-        return per_unique[name][inv]
+        return table[inv, _COLUMN_INDEX[name]]
 
     w, b = batch.ndwl, batch.ndbl
     nact, sensed = batch.nact, batch.sensed_bits
@@ -322,7 +500,7 @@ def evaluate_batch(
     )
     # max(in-tree occupancy, out-tree occupancy, colmux); both trees
     # share one design and path, so their occupancies are one array.
-    t_interleave = _np.maximum(_np.maximum(occupancy, occupancy), t_colmux)
+    t_interleave = _np.maximum(occupancy, t_colmux)
 
     # --- energies -----------------------------------------------------
     e_wordlines = nact * g("e_wordline")
@@ -336,7 +514,8 @@ def evaluate_batch(
         * periph.vdd**2
     )
     e_read_column = e_colmux + e_htree_out
-    e_write_column = e_colmux + e_htree_out + g("e_writebl")
+    e_writebl = write_bitline_energy(cell, spec.output_bits, g("blcap"))
+    e_write_column = e_colmux + e_htree_out + e_writebl
     swing_fraction = traits.precharge_swing_fraction
     e_precharge = (
         sensed * g("blcap") * cell.vdd_cell**2 * swing_fraction * 0.5

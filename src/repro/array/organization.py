@@ -284,34 +284,55 @@ class EvalCache:
     the same H-tree design inputs; caching those designs makes the sweep
     cost proportional to the number of *distinct* circuit problems rather
     than the number of candidates.  Safe to share across every solve at
-    one node (keys carry cell technology, periphery, and node); results
-    are bit-identical to uncached construction because the same frozen
-    objects perform the same computations.
+    one node (keys carry cell technology, periphery, and node).
+
+    The subarray tier holds each shape in one of two forms under one
+    key ``(rows, cols, cell tech, periphery, node)``:
+
+    * a table row -- the vectorized kernels' per-shape values (in
+      :data:`repro.array.kernels.TABLE_COLUMNS` order) plus the
+      shape's :class:`~repro.circuits.decoder.DecoderMetrics`, or
+      ``(None, None)`` for a shape that fails the sense-signal check;
+    * a :class:`~repro.array.subarray.Subarray` object, built for the
+      scalar path and for winner materialization.
+
+    A lookup of either form is a hit when the shape is known in either
+    form, so ``subarray_misses`` counts distinct shapes whichever path
+    asked first.  A ``Subarray`` built for a shape the table already
+    holds reuses the row's decoder, so materializing a winner sizes no
+    driver chain.  Results are bit-identical to uncached construction:
+    the table mirrors ``Subarray`` operation for operation, and equal
+    frozen inputs perform the same computations.
     """
 
     def __init__(self) -> None:
         self._subarrays: dict[tuple, Subarray] = {}
+        self._table: dict[tuple, tuple] = {}
         self._htrees: dict[tuple, HTree] = {}
         self.subarray_hits = 0
         self.subarray_misses = 0
         self.htree_hits = 0
         self.htree_misses = 0
 
+    @staticmethod
+    def _key(tech: Technology, spec: ArraySpec, rows: int, cols: int):
+        return (
+            rows, cols, spec.cell_tech, spec.periph_device_type, tech.node_nm
+        )
+
     def subarray(
         self, tech: Technology, spec: ArraySpec, rows: int, cols: int
     ) -> Subarray:
-        key = (
-            rows,
-            cols,
-            spec.cell_tech,
-            spec.periph_device_type,
-            tech.node_nm,
-        )
+        key = self._key(tech, spec, rows, cols)
         sub = self._subarrays.get(key)
         if sub is not None:
             self.subarray_hits += 1
             return sub
-        self.subarray_misses += 1
+        row = self._table.get(key)
+        if row is None:
+            self.subarray_misses += 1
+        else:
+            self.subarray_hits += 1
         sub = Subarray(
             tech=tech,
             cell=tech.cell(spec.cell_tech, spec.periph_device_type),
@@ -319,8 +340,36 @@ class EvalCache:
             rows=rows,
             cols=cols,
         )
+        if row is not None and row[1] is not None:
+            # ``decoder`` is a cached_property, which reads the instance
+            # dict first: seeding it hands over the design the table
+            # already made from the same inputs.
+            sub.__dict__["decoder"] = row[1]
         self._subarrays[key] = sub
         return sub
+
+    def table_rows(
+        self, tech: Technology, spec: ArraySpec, shapes: list[tuple]
+    ) -> list:
+        """The table row of each ``(rows, cols)`` in ``shapes``, None
+        where it has not been computed yet; one lookup per shape."""
+        rows = []
+        for shape in shapes:
+            key = self._key(tech, spec, *shape)
+            row = self._table.get(key)
+            if row is not None or key in self._subarrays:
+                self.subarray_hits += 1
+            else:
+                self.subarray_misses += 1
+            rows.append(row)
+        return rows
+
+    def store_table_rows(
+        self, tech: Technology, spec: ArraySpec, shapes: list[tuple],
+        rows: list[tuple],
+    ) -> None:
+        for shape, row in zip(shapes, rows):
+            self._table[self._key(tech, spec, *shape)] = row
 
     def htree(self, key: tuple, build) -> HTree:
         tree = self._htrees.get(key)

@@ -47,6 +47,7 @@ from repro.array.organization import (
 from repro.circuits.drivers import build_chain
 from repro.core.config import OptimizationTarget
 from repro.core.solvecache import account_store as _account_store
+from repro.core.solvecache import solve_key
 from repro.obs import MetricsRegistry, Obs
 from repro.obs import phase as obs_phase
 from repro.tech.nodes import Technology
@@ -502,7 +503,8 @@ def optimize(
                 # an all-miss (or all-hit) run.
                 obs.metrics.counter("solve_cache.hits")
                 obs.metrics.counter("solve_cache.misses")
-            hit = solve_cache.get(spec, target, tech.node_nm)
+            key = solve_key(spec, target, tech.node_nm)
+            hit = solve_cache.get(spec, target, tech.node_nm, key=key)
             if hit is not None:
                 if obs is not None:
                     obs.inc("solve_cache.hits")
@@ -518,7 +520,7 @@ def optimize(
             tech, swept, target, eval_cache=eval_cache, obs=obs, limit=1
         )[0]
         if solve_cache is not None:
-            solve_cache.put(spec, target, tech.node_nm, best)
+            solve_cache.put(spec, target, tech.node_nm, best, key=key)
             # Solve-boundary flush: deferred (one write per batch) when
             # the caller holds the cache open as a context manager.
             solve_cache.flush()

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 from repro.array.organization import ArrayMetrics, ArraySpec, OrgParams
 from repro.core.config import OptimizationTarget
@@ -65,9 +65,20 @@ _METRIC_FIELDS = tuple(
     f.name for f in fields(ArrayMetrics) if f.name not in ("spec", "org")
 )
 
+#: Field names of the flat dataclasses a key or record spells out.
+#: Every field is a scalar, so reading them is what ``asdict`` returns,
+#: without its recursive deep copy.
+_SPEC_FIELDS = tuple(f.name for f in fields(ArraySpec))
+_ORG_FIELDS = tuple(f.name for f in fields(OrgParams))
+_TARGET_FIELDS = tuple(f.name for f in fields(OptimizationTarget))
+
+
+def _flat_dict(obj, names: tuple[str, ...]) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
 
 def spec_to_dict(spec: ArraySpec) -> dict:
-    d = asdict(spec)
+    d = _flat_dict(spec, _SPEC_FIELDS)
     d["cell_tech"] = spec.cell_tech.value
     return d
 
@@ -79,9 +90,9 @@ def spec_from_dict(d: dict) -> ArraySpec:
 
 
 def metrics_to_dict(metrics: ArrayMetrics) -> dict:
-    d = {name: getattr(metrics, name) for name in _METRIC_FIELDS}
+    d = _flat_dict(metrics, _METRIC_FIELDS)
     d["spec"] = spec_to_dict(metrics.spec)
-    d["org"] = asdict(metrics.org)
+    d["org"] = _flat_dict(metrics.org, _ORG_FIELDS)
     return d
 
 
@@ -120,7 +131,7 @@ def solve_key(
         "version": CACHE_VERSION,
         "node_nm": node_nm,
         "spec": spec_to_dict(spec),
-        "target": asdict(target),
+        "target": _flat_dict(target, _TARGET_FIELDS),
     })
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -232,9 +243,21 @@ class SolveCache:
     # Solve-keyed access
 
     def get(
-        self, spec: ArraySpec, target: OptimizationTarget, node_nm: float
+        self,
+        spec: ArraySpec,
+        target: OptimizationTarget,
+        node_nm: float,
+        *,
+        key: str | None = None,
     ) -> ArrayMetrics | None:
-        key = solve_key(spec, target, node_nm)
+        """The cached solve of this request, or None on a miss.
+
+        ``key`` is the request's :func:`solve_key` when the caller has
+        it already (a miss is followed by a :meth:`put` of the same
+        request), so it is hashed once.
+        """
+        if key is None:
+            key = solve_key(spec, target, node_nm)
         record = self.store.get(key)
         if record is None:
             self.misses += 1
@@ -257,10 +280,12 @@ class SolveCache:
         target: OptimizationTarget,
         node_nm: float,
         metrics: ArrayMetrics,
+        *,
+        key: str | None = None,
     ) -> None:
-        self.store.put(
-            solve_key(spec, target, node_nm), metrics_to_dict(metrics)
-        )
+        if key is None:
+            key = solve_key(spec, target, node_nm)
+        self.store.put(key, metrics_to_dict(metrics))
 
     # ------------------------------------------------------------------ #
     # Observability

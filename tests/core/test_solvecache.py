@@ -91,6 +91,85 @@ class TestSolveKey:
         assert isinstance(normalized["count"], float)
 
 
+
+class TestPinnedKeys:
+    """Keys are persisted: every store written before a change to the
+    key code must still be found after it.  These digests of the
+    golden-triad requests (data array, then tag array) were recorded
+    before ``spec_to_dict``/``solve_key`` stopped deep-copying through
+    ``asdict``; they must never change without a ``CACHE_VERSION``
+    bump."""
+
+    PINNED = {
+        "sram-2m": (
+            "f57f441b1edc8ad780bbb9234ee2aea9ee716a521e1f8fdcaa9ba347e42fa783",
+            "98942aaaff3acb8e395928ee5ab31c0bfa0104653e4173a7c586b42e1b73be55",
+        ),
+        "lp-dram-4m": (
+            "cae7624c28b19241a0c05a4164e1b570b72654f7c2b966ffb8d6a592e5ee4727",
+            "84868d5205c620760680b0cf018293cd00e1bd54af0b26b8ef6e1e70275a8282",
+        ),
+        "comm-dram-16m": (
+            "b7f139bf360e8c70e1748d04c5f87b058640e2a6cbeed27ce1d8bc7c1d52beb5",
+            "1cf5ace14c619de9f15dc420590da67713d59302aaf51fbbfcabb383ce6e780a",
+        ),
+        "mixed-comm-sram-tags": (
+            "91bb2f5ed5423eaea64dcd31b27277bb981ff831de71e4cd09069e1b480ae001",
+            "22863f0e7f228b96d87a3ce16760fc2a0d0740089c48e440d531e5f02ec4aba4",
+        ),
+        "sram-78nm": (
+            "48bce3e2f89fcdb11efd4a9ec03ee3df2c2941b41ecb47295c6fbaf1717bb5ad",
+            "201d973504a3e0af89ba31098fbed0d12b36212f66c52094a1b8421e980c22d5",
+        ),
+    }
+
+    def test_golden_triad_keys_are_byte_identical(self):
+        from repro.core.cacti import data_array_spec, tag_array_spec
+        from repro.core.config import (
+            DENSITY_OPTIMIZED,
+            ENERGY_DELAY_OPTIMIZED,
+            MemorySpec,
+        )
+        from pathlib import Path
+
+        golden = json.loads(
+            (Path(__file__).resolve().parents[1] / "data"
+             / "golden_triad.json").read_text()
+        )
+        targets = {
+            "balanced": OptimizationTarget(),
+            "density": DENSITY_OPTIMIZED,
+            "energy-delay": ENERGY_DELAY_OPTIMIZED,
+        }
+        keys = {}
+        for record in golden["solves"]:
+            mem = MemorySpec(**record["spec"])
+            target = targets[record["target"]]
+            keys[record["id"]] = tuple(
+                solve_key(array, target, mem.node_nm)
+                for array in (data_array_spec(mem), tag_array_spec(mem))
+            )
+        assert keys == self.PINNED
+
+    def test_optimize_hashes_each_request_once(self, tmp_path, monkeypatch):
+        import repro.core.optimizer as optimizer_module
+        import repro.core.solvecache as solvecache_module
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_key(*args)
+
+        monkeypatch.setattr(optimizer_module, "solve_key", counting)
+        monkeypatch.setattr(solvecache_module, "solve_key", counting)
+        cache = SolveCache(tmp_path / "solves.json")
+        miss = optimize(TECH, SPEC, TARGET, solve_cache=cache)
+        assert (cache.misses, len(calls)) == (1, 1)
+        hit = optimize(TECH, SPEC, TARGET, solve_cache=cache)
+        assert (cache.hits, len(calls)) == (1, 2)
+        assert hit == miss
+
 class TestSolveCache:
     def test_put_get(self, tmp_path, best):
         cache = SolveCache(tmp_path / "c.json")
